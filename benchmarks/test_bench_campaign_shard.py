@@ -10,11 +10,12 @@ guarantees.  This benchmark sweeps a ≥10k-point Laplace space twice —
 
 — cross-checks the merged store against the serial one with
 :func:`store_diff` (the correctness half of the claim: fan-out must not
-change a single record), and emits
-``benchmarks/results/BENCH_campaign_shard.json`` so the scaling trajectory
-is comparable across PRs::
+change a single record), and emits ``BENCH_campaign_shard.json`` (in the
+git-ignored ``benchmarks/results/local/`` unless recording, see
+``bench_results.py``) so the scaling trajectory is comparable across
+PRs; record the committed numbers with::
 
-    REPRO_SLOW=1 PYTHONPATH=src python -m pytest \
+    REPRO_BENCH_RECORD=1 REPRO_SLOW=1 PYTHONPATH=src python -m pytest \
         benchmarks/test_bench_campaign_shard.py -s
 
 The ≥``SPEEDUP_FLOOR``× throughput floor is only enforceable where the
@@ -27,10 +28,10 @@ reader of the committed numbers knows which regime produced them.
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
+from bench_results import results_path
 from repro.explore import (
     ScenarioSpace,
     run_campaign,
@@ -45,7 +46,7 @@ SHARDS = 4
 #: only on hosts with at least ``SHARDS`` CPUs (see module docstring).
 SPEEDUP_FLOOR = 3.0
 
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_campaign_shard.json"
+RESULTS_JSON = results_path("BENCH_campaign_shard.json")
 
 
 def _bench_space() -> ScenarioSpace:

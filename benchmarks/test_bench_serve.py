@@ -15,18 +15,20 @@ over localhost sockets and pins:
   ≤ ``RESILIENCE_OVERHEAD_BUDGET`` on the cached p50, same budget
   discipline as the simulator's ``obs_overhead`` pin.
 
-Each run emits ``benchmarks/results/BENCH_serve.json`` so the serving
-trajectory is comparable across PRs::
+Each run emits ``BENCH_serve.json`` (see ``bench_results.py``: the
+git-ignored ``benchmarks/results/local/`` unless recording) so the serving
+trajectory is comparable across PRs; record the committed numbers with::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_serve.py -s
+    REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest \
+        benchmarks/test_bench_serve.py -s
 """
 
 import json
 import socket
 import statistics
 import time
-from pathlib import Path
 
+from bench_results import results_path
 from repro.serve import ServeOptions, ServerThread
 
 BODY = json.dumps({"app": "laplace_block_star", "size": 16, "nprocs": 4,
@@ -51,7 +53,7 @@ THROUGHPUT_REQUESTS = 30_000
 RESILIENCE_OVERHEAD_BUDGET = 0.03
 RESILIENCE_OVERHEAD_SAMPLES = 400
 
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_serve.json"
+RESULTS_JSON = results_path("BENCH_serve.json")
 
 
 def _merge_results_json(updates: dict) -> None:

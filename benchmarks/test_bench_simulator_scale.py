@@ -21,21 +21,24 @@ This benchmark pins the tentpole claims on the ``modern-cluster`` target:
 * p = 1024 and p = 4096 contention-free (crossbar fabric) simulations
   complete inside their wall-clock budgets.
 
-Each run also emits ``benchmarks/results/BENCH_simulator_scale.json`` —
-machine-readable per-p wall-clocks and speedups — so the performance
-trajectory is comparable across PRs, and regenerates the README
-"Performance" table from the same rows (run with ``-s`` to see it)::
+Each run also emits ``BENCH_simulator_scale.json`` — machine-readable
+per-p wall-clocks and speedups, in the git-ignored
+``benchmarks/results/local/`` unless recording (see ``bench_results.py``)
+— so the performance trajectory is comparable across PRs, and regenerates
+the README "Performance" table from the same rows (run with ``-s`` to see
+it); record the committed numbers with::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_simulator_scale.py -s
+    REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest \
+        benchmarks/test_bench_simulator_scale.py -s
 """
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bench_results import results_path
 from repro import obs
 from repro.compiler import compile_source
 from repro.simulator import SimulatorOptions, simulate
@@ -71,7 +74,7 @@ SPEEDUP_ROWS = {
 OBS_OVERHEAD_BUDGET = 0.03
 OBS_OVERHEAD_NPROCS = 256
 
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_simulator_scale.json"
+RESULTS_JSON = results_path("BENCH_simulator_scale.json")
 
 
 def _merge_results_json(updates: dict) -> None:

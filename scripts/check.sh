@@ -26,6 +26,9 @@ python -m pytest benchmarks/test_bench_simulator_scale.py -x -q -k "p1024_conten
 echo "== simulator-scale smoke: p=4096 vector run inside the wall-clock budget"
 python -m pytest benchmarks/test_bench_simulator_scale.py -x -q -k "p4096_vector_smoke"
 
+echo "== benchmark self-test: wrappers restored, traced digest matches, metrics declared"
+python3 perfbench/selftest.py
+
 echo "== noise-engine retirement note: sequential scheme removed, archive verified"
 python scripts/noise_drift_report.py
 

@@ -156,9 +156,8 @@ class AxisMapping:
                            minlength=self.nprocs).astype(np.int64)
 
     def max_local_count(self) -> int:
-        if not self.is_distributed:
-            return self.extent
-        return max(self.local_count(p) for p in range(self.nprocs))
+        """Largest per-coordinate count: ``max(local_counts())``."""
+        return int(self.local_counts().max())
 
     def avg_local_count(self) -> float:
         if not self.is_distributed:

@@ -865,8 +865,12 @@ class Parser:
 # ---------------------------------------------------------------------------
 
 
-def parse_source(source: str, name: str = "<string>") -> ast.Program:
-    """Parse HPF/Fortran 90D source text into a :class:`Program` AST."""
+def parse_source(source: str | SourceFile, name: str = "<string>") -> ast.Program:
+    """Parse HPF/Fortran 90D source text into a :class:`Program` AST.
+
+    Pass a :class:`SourceFile` the caller already holds to reuse its
+    logical lines (``name`` is then ignored).
+    """
     return Parser(source, name=name).parse()
 
 

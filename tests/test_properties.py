@@ -97,6 +97,43 @@ def test_array_distribution_local_sizes_sum_to_global(rows, cols, p0, p1, kind0,
             assert j in dist.local_indices(rank, 1)
 
 
+@st.composite
+def _axis_mappings(draw, grid_axis=0):
+    kind = draw(st.sampled_from(["block", "cyclic", "collapsed"]))
+    extent = draw(st.integers(0, 60))
+    nprocs = draw(st.integers(1, 9)) if kind != "collapsed" else 1
+    aligned = draw(st.booleans())
+    return AxisMapping(
+        extent=extent,
+        dist=DimDistribution(kind, block=draw(st.integers(1, 5))
+                             if kind == "cyclic" else 1),
+        nprocs=nprocs,
+        grid_axis=grid_axis if kind != "collapsed" else None,
+        template_extent=extent + draw(st.integers(0, 6)) if aligned else None,
+        offset=draw(st.integers(-1, 3)) if aligned else 0,
+    )
+
+
+@common_settings
+@given(axis=_axis_mappings())
+def test_max_local_count_is_the_per_rank_maximum(axis):
+    """The vectorised count equals its per-coordinate definition."""
+    assert axis.max_local_count() == max(axis.local_count(p)
+                                         for p in range(axis.nprocs))
+
+
+@common_settings
+@given(row=_axis_mappings(grid_axis=0), col=_axis_mappings(grid_axis=1))
+def test_max_local_size_is_the_product_of_axis_maxima(row, col):
+    dist = ArrayDistribution(name="a", shape=(row.extent, col.extent),
+                             axes=[row, col],
+                             grid=ProcessorGrid("p", (row.nprocs, col.nprocs)))
+    per_axis = [max(axis.local_count(p) for p in range(axis.nprocs))
+                for axis in (row, col)]
+    assert dist.max_local_shape() == tuple(per_axis)
+    assert dist.max_local_size() == per_axis[0] * per_axis[1]
+
+
 @common_settings
 @given(p=st.integers(1, 64), rank=st.integers(1, 3))
 def test_default_grid_shape_preserves_processor_count(p, rank):
