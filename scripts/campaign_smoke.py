@@ -9,6 +9,11 @@ freshly evaluated point is diffed against it and drift is reported (and
 tolerated: a deliberate model change is supposed to move the numbers; the
 diff is the record that it did).
 
+A small multi-machine measure campaign then checks the trace stage: its
+store (each compiled program's data plane run once, replayed on the other
+machines) must be byte-identical to a store built from live ``simulate()``
+calls over the same points.  That store lives in a temporary directory.
+
 Usage:  PYTHONPATH=src python scripts/campaign_smoke.py [store-path]
 """
 
@@ -16,17 +21,23 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro import obs, stages  # noqa: E402
 from repro.explore import (  # noqa: E402
     ResultStore,
+    ScenarioResult,
     ScenarioSpace,
     best_config_table,
     run_campaign,
     store_diff,
     store_diff_table,
 )
+from repro.explore.campaign import compile_scenario  # noqa: E402
+from repro.simulator import simulate  # noqa: E402
+from repro.system import get_machine  # noqa: E402
 
 DEFAULT_STORE = os.path.join(os.path.dirname(__file__), "..",
                              "benchmarks", "results", "smoke_campaign.jsonl")
@@ -38,7 +49,48 @@ SMOKE_SPACE = ScenarioSpace(
     machines=("ipsc860", "torus-cluster"),
 )
 
+MEASURE_SPACE = ScenarioSpace(
+    apps=("laplace_block_star", "lfk1"),
+    sizes=(16, 32),
+    proc_counts=(2, 4),
+    machines=("ipsc860", "paragon", "torus-cluster"),
+)
+
 DRIFT_TOLERANCE_PCT = 0.01      # predictions are analytic: exact in practice
+
+
+def staged_measure_check(tmpdir: str) -> None:
+    """Measure campaign through the trace stage == live ``simulate()``."""
+    stages.clear_stage_caches()
+    obs.enable()
+    staged_path = os.path.join(tmpdir, "staged.jsonl")
+    run = run_campaign(MEASURE_SPACE, name="ci-smoke-measure", mode="measure",
+                       store=ResultStore(staged_path), executor="serial")
+    flat = obs.get_registry().flatten()
+    obs.disable()
+    hits = int(flat.get('repro_stage_cache_hits_total{stage="trace"}', 0))
+    misses = int(flat.get('repro_stage_cache_misses_total{stage="trace"}', 0))
+    expected = len(MEASURE_SPACE.expand())
+    assert run.evaluated == expected == hits + misses, \
+        f"measure smoke: {run.evaluated} evaluated, {hits}+{misses} lookups"
+
+    live_path = os.path.join(tmpdir, "live.jsonl")
+    live = ResultStore(live_path)
+    for staged in ResultStore(staged_path):
+        point = staged.point
+        compiled, _ = compile_scenario(point)
+        machine = get_machine(point.machine, point.nprocs,
+                              topology_shape=point.topology_shape)
+        live.add(ScenarioResult(
+            point=point, mode="measure",
+            measured_us=simulate(compiled, machine).measured_time_us,
+            grid_shape=tuple(compiled.mapping.grid.shape)))
+    with open(staged_path, "rb") as a, open(live_path, "rb") as b:
+        assert a.read() == b.read(), \
+            "staged measure store differs from the live simulate() store"
+    print(f"staged measure: {expected} points byte-identical to live "
+          f"simulate(); trace stage {hits} hits / {misses} misses "
+          f"(hit ratio {hits / (hits + misses):.2f})")
 
 
 def main() -> int:
@@ -91,6 +143,9 @@ def main() -> int:
         f"re-run evaluated {rerun.evaluated} points instead of hitting the store"
     print(f"store: {len(store)} records at {store_path}; "
           f"re-run hit the store for all {rerun.store_hits} points")
+
+    with tempfile.TemporaryDirectory(prefix="measure-smoke-") as tmpdir:
+        staged_measure_check(tmpdir)
     return 0
 
 

@@ -50,7 +50,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .. import obs, stages
-from ..simulator import SimulatorOptions, simulate
+from ..simulator import SimulatorOptions
 from ..suite import get_entry
 from ..system import Machine, get_machine, resolve_machine
 from .space import ProgramSpec, ScenarioError, ScenarioPoint, ScenarioSpace
@@ -132,6 +132,7 @@ def evaluate_point(
             machine = get_machine(point.machine, point.nprocs,
                                   topology_shape=point.topology_shape)
 
+        compile_key = stages.compile_key_of(compiled)
         estimated = measured = None
         comp = comm = ovhd = 0.0
         if mode in ("predict", "both"):
@@ -140,7 +141,7 @@ def evaluate_point(
             # reproduce, so those points bypass the cache
             estimate = stages.price_cached(
                 compiled, machine,
-                compile_key=stages.compile_key_of(compiled),
+                compile_key=compile_key,
                 options=options, cacheable=machine_resolver is None)
             estimated = estimate.predicted_time_us
             comp = estimate.total.computation
@@ -148,10 +149,13 @@ def evaluate_point(
             ovhd = estimate.total.overhead
         if mode in ("measure", "both"):
             # simulated points run the vector engine (the SimulatorOptions
-            # default) unless simulator_options pins the loop oracle;
-            # simulate() opens its own "simulate" span
-            measured = simulate(compiled, machine,
-                                options=simulator_options).measured_time_us
+            # default) unless simulator_options pins the loop oracle; the
+            # trace stage runs each compiled program's data plane once and
+            # replays it on every machine; simulate() opens its own
+            # "simulate" span
+            measured = stages.simulate_staged(
+                compiled, machine, options=simulator_options,
+                compile_key=compile_key).measured_time_us
 
         result = ScenarioResult(
             point=point, mode=mode,

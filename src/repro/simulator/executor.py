@@ -5,7 +5,9 @@ program on the real machine.  It drives the compiled SPMD IR, keeping
 
 * one **data plane** — the program's arrays and scalars, evaluated with NumPy
   through the functional evaluator (so simulated results are bit-identical to
-  the functional interpreter), and
+  the functional interpreter) and read only through one
+  :mod:`~repro.simulator.dataplane` object, live or replayed from a
+  recorded trace, and
 * one **timing plane** — a clock per rank, advanced by the dynamic node cost
   model for local computation and by the message-level network model for
   communication phases, with seeded system-load noise on top.
@@ -43,11 +45,11 @@ from ..compiler.spmd import (
 from ..distribution import ArrayDistribution
 from ..frontend import ast_nodes as ast
 from ..frontend.errors import SimulationError
-from ..functional.evaluator import FunctionalEvaluator, execute_forall
 from ..interpreter.expression_cost import OpCount, count_expr, count_statement_body
 from ..interpreter.metrics import Metrics
 from ..system.ipsc860 import PROGRAM_STARTUP_US, Machine
-from .collectives import allgather, allreduce, broadcast, shift_exchange, unstructured_gather
+from .collectives import allreduce, broadcast, shift_exchange, unstructured_gather
+from .dataplane import LiveDataPlane
 from .network import Network
 from .node import IterationProfile, NodeCostModel
 from .noise import NoiseModel, NoiseOptions
@@ -115,10 +117,12 @@ class SPMDExecutor:
     in an explicit ``for rank in range(self.nprocs)`` python loop.  It is kept
     as the correctness oracle; the scaled ``"vector"`` engine
     (:class:`~repro.simulator.vector.VectorSPMDExecutor`) overrides the
-    per-rank hook methods (``_loop_nest_per_rank``, ``_reduction_per_rank``,
-    ``_shift_copy_per_rank``, ``_set_clocks``) and the whole communication
-    phases (``_exec_shift``, ``_exec_comm_spec`` — array clocks end to end)
-    with array-based implementations that must produce identical times.
+    per-rank hook methods (``_loop_nest_shape``/``_loop_nest_per_rank``,
+    ``_reduction_per_rank``, ``_shift_copy_per_rank``, ``_set_clocks``) and
+    the communication hooks (``_shift_exchange``, ``_collective`` — array
+    clocks end to end) with array-based implementations that must produce
+    identical times.  Both engines read the data plane only through
+    ``self.data`` (:mod:`repro.simulator.dataplane`).
     Engine selection happens in :func:`repro.simulator.runtime.simulate`;
     instantiating this class directly always runs the loop implementation.
     """
@@ -131,6 +135,7 @@ class SPMDExecutor:
         machine: Machine,
         options: SimulatorOptions | None = None,
         params: dict[str, float] | None = None,
+        data=None,
     ):
         self.compiled = compiled
         self.machine = machine
@@ -138,14 +143,9 @@ class SPMDExecutor:
         self.nprocs = compiled.nprocs
         self.grid = compiled.mapping.grid
 
-        env = dict(compiled.mapping.env)
-        if params:
-            env.update({k.lower(): float(v) for k, v in params.items()})
-        # Data plane: execute the *normalised* program's declarations but drive
-        # control flow from the SPMD IR.
-        self.data = FunctionalEvaluator(compiled.normalized, compiled.symtable, params=env)
-        self.state = self.data.state
-        self.exprs = self.data.exprs
+        # Data plane: live NumPy evaluation unless a replay is passed in;
+        # every read of it goes through this one object.
+        self.data = data if data is not None else LiveDataPlane(compiled, params)
 
         self.cost = NodeCostModel(machine)
         num_nodes = max(self.nprocs, 1)
@@ -256,25 +256,23 @@ class SPMDExecutor:
             raise SimulationError(f"cannot simulate SPMD node {type(node).__name__}")
 
     def _exec_do(self, node: NodeDo) -> None:
-        start = int(self._scalar(node.start))
-        end = int(self._scalar(node.end))
-        step = int(self._scalar(node.step)) if node.step is not None else 1
+        start, end, step = self.data.do_bounds(node)
         if step == 0:
             raise SimulationError("DO loop step must be non-zero", )
         proc = self.machine.processing
         value = start
         while (step > 0 and value <= end) or (step < 0 and value >= end):
-            self.state.set_scalar(node.var, value)
+            self.data.set_index(node, value)
             self._charge(node, "overhead",
                          proc.loop_iteration_overhead + proc.int_op_time)
             self._execute_sequence(node.body)
             value += step
-        self.state.set_scalar(node.var, value)
+        self.data.set_index(node, value)
 
     def _exec_do_while(self, node: NodeDoWhile) -> None:
         proc = self.machine.processing
         iterations = 0
-        while bool(np.all(self.exprs.eval(node.cond))):
+        while self.data.loop_test(node):
             iterations += 1
             if iterations > self.options.max_while_iterations:
                 raise SimulationError("DO WHILE exceeded the simulation iteration limit")
@@ -285,11 +283,9 @@ class SPMDExecutor:
     def _exec_if(self, node: NodeIf) -> None:
         proc = self.machine.processing
         self._charge(node, "overhead", proc.conditional_overhead)
-        for cond, body in node.branches:
-            if bool(np.all(self.exprs.eval(cond))):
-                self._execute_sequence(body)
-                return
-        self._execute_sequence(node.else_body)
+        taken = self.data.branch(node)
+        self._execute_sequence(node.branches[taken][1] if taken >= 0
+                               else node.else_body)
 
     # ------------------------------------------------------------------
     # leaf nodes
@@ -312,11 +308,11 @@ class SPMDExecutor:
             self._charge(node, "overhead", self.machine.processing.branch_time)
             return
         if isinstance(stmt, ast.PrintStmt):
-            self.data.exec_print(stmt)
+            self.data.print_stmt(node, stmt)
             self._charge(node, "overhead", 180.0 + 55.0 * max(len(stmt.items), 1))
             return
         if isinstance(stmt, ast.Assignment):
-            self.data.exec_assignment(stmt)
+            self.data.assign(node, stmt)
             count = count_statement_body([stmt])
             time = self.cost.scalar_statement_time(count)
             self._charge(node, "computation", self.noise.compute(time))
@@ -341,12 +337,10 @@ class SPMDExecutor:
 
         owner = 0
         if dist is not None and isinstance(stmt.target, ast.ArrayRef):
-            index = []
-            for axis, sub in enumerate(stmt.target.indices):
-                value = int(np.asarray(self.exprs.eval(sub)))
-                index.append(value - dist.lower_bounds[axis])
+            index = tuple(value - dist.lower_bounds[axis] for axis, value
+                          in enumerate(self.data.owner_index(node, stmt)))
             try:
-                owner = dist.owner_rank(tuple(index))
+                owner = dist.owner_rank(index)
             except Exception:
                 owner = 0
         count = count_statement_body([stmt])
@@ -354,7 +348,7 @@ class SPMDExecutor:
             self.cost.scalar_statement_time(count), rank=owner)
         self._charge(node, "computation", per_rank)
 
-        self.data.exec_assignment(stmt)
+        self.data.assign(node, stmt)
 
     # -- local loop nests ---------------------------------------------------------
 
@@ -364,12 +358,11 @@ class SPMDExecutor:
         distributed = home_dist is not None and not home_dist.is_replicated
 
         # Data plane: execute the forall (vectorised) and capture its shape.
-        forall = node.origin
-        if not isinstance(forall, ast.ForallStmt):
-            raise SimulationError("loop nest without a forall origin", )
-        record = execute_forall(forall, self.state, self.exprs)
+        iterations, shape = self.data.forall(
+            node, lambda record: self._loop_nest_shape(node, record, home_dist,
+                                                       distributed))
 
-        if record.iterations == 0:
+        if iterations == 0:
             self._charge(node, "overhead",
                          len(node.loops) * self.machine.processing.loop_startup_overhead)
             return
@@ -378,9 +371,18 @@ class SPMDExecutor:
         element_size = home_dist.element_size if home_dist is not None else 4
         precision = self._precision(node.home_array)
 
-        per_rank = self._loop_nest_per_rank(node, record, home_dist, distributed,
+        per_rank = self._loop_nest_per_rank(node, shape, home_dist, distributed,
                                             count, element_size, precision)
         self._charge(node, "computation", per_rank)
+
+    def _loop_nest_shape(self, node: LocalLoopNest, record, home_dist,
+                         distributed: bool):
+        """The per-rank shape :meth:`_loop_nest_per_rank` prices.
+
+        The loop engine derives its per-rank counts inside the pricing
+        sweep itself, so its shape is the raw forall record.
+        """
+        return record
 
     def _loop_nest_per_rank(self, node: LocalLoopNest, record, home_dist,
                             distributed: bool, count: OpCount,
@@ -447,7 +449,7 @@ class SPMDExecutor:
     def _exec_reduction(self, node: ReductionNode) -> None:
         # Data plane: the origin assignment computes the reduced value exactly.
         if isinstance(node.origin, ast.Assignment):
-            self.data.exec_assignment(node.origin)
+            self.data.assign(node, node.origin)
 
         mapping = self.compiled.mapping
         dist = mapping.distribution_of(node.home_array) if node.home_array else None
@@ -459,7 +461,8 @@ class SPMDExecutor:
             count += count_expr(node.mask)
         count.flops += 1.0
 
-        total_extent = self._reduction_extent(node, dist)
+        total_extent = self.data.reduction_extent(
+            node, fallback=float(dist.size) if dist is not None else 1.0)
         element_size = dist.element_size if dist is not None else 4
         per_rank = self._reduction_per_rank(dist, count, total_extent, element_size,
                                             self._precision(node.home_array))
@@ -491,24 +494,11 @@ class SPMDExecutor:
                     noise_phase, rank, self.cost.loop_nest_time(profile, depth=1))
             return per_rank
 
-    def _reduction_extent(self, node: ReductionNode, dist: ArrayDistribution | None) -> float:
-        for ref in ast.expr_array_refs(node.source):
-            if not self.state.is_array(ref.name):
-                continue
-            value = self.exprs.eval(ref)
-            return float(np.asarray(value).size)
-        for sub in ast.walk_expr(node.source):
-            if isinstance(sub, ast.Var) and self.state.is_array(sub.name):
-                return float(self.state.array(sub.name).data.size)
-        if dist is not None:
-            return float(dist.size)
-        return 1.0
-
     # -- shifts -----------------------------------------------------------------------
 
     def _exec_shift(self, node: ShiftNode) -> None:
         if isinstance(node.origin, ast.Assignment):
-            self.data.exec_assignment(node.origin)
+            self.data.assign(node, node.origin)
 
         dist = self.compiled.mapping.distribution_of(node.source)
         proc = self.machine.processing
@@ -516,7 +506,7 @@ class SPMDExecutor:
             self._charge(node, "computation", proc.call_overhead)
             return
 
-        offset = abs(int(self._scalar(node.offset_expr, 1)))
+        offset = abs(self.data.shift_offset(node))
         self._charge(node, "computation", self._shift_copy_per_rank(dist))
 
         axis = node.axis if node.axis < len(dist.axes) else 0
@@ -525,16 +515,8 @@ class SPMDExecutor:
             return
 
         direction = 1 if offset >= 0 else -1
-        pairs, sizes = self._shift_plan(dist, axis, axis_map, offset,
-                                        dist.element_size, direction,
-                                        clamp_shift_axis=False)
-
-        clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
-        with obs.span("network"):
-            done = shift_exchange(self.network, pairs, sizes, clocks,
-                                  software_overhead=self.collective_overhead)
-        done = self._apply_comm_noise(done, clocks)
-        self._set_clocks(node, "communication", done)
+        self._shift_exchange(node, dist, axis, axis_map, offset,
+                             dist.element_size, direction, clamp_shift_axis=False)
 
     def _shift_copy_per_rank(self, dist: ArrayDistribution) -> np.ndarray:
         """Per-rank local copy cost of a shift (each rank copies its block)."""
@@ -601,8 +583,6 @@ class SPMDExecutor:
         comm = self.machine.communication
         proc = self.machine.processing
         dist = self.compiled.mapping.distribution_of(spec.array) if spec.array else None
-        clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
-        overhead = self.collective_overhead
 
         if spec.kind == "shift" and dist is not None and dist.grid is not None:
             axis = spec.axis if spec.axis is not None else 0
@@ -614,57 +594,66 @@ class SPMDExecutor:
                              elements * (self.machine.memory.hit_time + proc.assignment_overhead))
                 return
             direction = 1 if spec.offset >= 0 else -1
-            pairs, sizes = self._shift_plan(dist, axis, axis_map,
-                                            abs(spec.offset) or 1,
-                                            spec.element_size, direction,
-                                            clamp_shift_axis=True)
-            with obs.span("network"):
-                done = shift_exchange(self.network, pairs, sizes, clocks,
-                                      software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
-            self._set_clocks(node, "communication", done)
+            self._shift_exchange(node, dist, axis, axis_map, abs(spec.offset) or 1,
+                                 spec.element_size, direction, clamp_shift_axis=True)
             return
 
         if spec.kind == "broadcast":
             nbytes = max(int(self._spec_elements(spec, dist) * spec.element_size),
                          spec.element_size)
-            ranks = list(range(self.nprocs))
-            with obs.span("network"):
-                done = broadcast(self.network, 0, ranks, nbytes, clocks,
-                                 software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
             self.comm_stats.record(max(self.nprocs - 1, 0), nbytes * max(self.nprocs - 1, 0))
-            self._set_clocks(node, "communication", done)
+            self._collective(node, "broadcast", nbytes)
             return
 
         if spec.kind == "reduce":
             nbytes = spec.element_size
-            ranks = list(range(self.nprocs))
-            with obs.span("network"):
-                done = allreduce(self.network, ranks, nbytes, clocks,
-                                 combine_time=proc.flop_time_sp,
-                                 software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
             self.comm_stats.record(self.nprocs, nbytes * self.nprocs)
-            self._set_clocks(node, "communication", done)
+            self._collective(node, "reduce", nbytes)
             return
 
         if spec.kind in ("gather", "writeback"):
             elements = self._spec_elements(spec, dist)
             nbytes = int(elements * spec.element_size)
-            ranks = list(range(self.nprocs))
-            with obs.span("network"):
-                done = unstructured_gather(self.network, ranks, nbytes, clocks,
-                                           software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
             self.comm_stats.record(self.nprocs * max(self.nprocs - 1, 1) // 2,
                                    nbytes * max(self.nprocs - 1, 1))
-            self._set_clocks(node, "communication", done)
+            self._collective(node, "gather", nbytes)
             return
 
         # unknown pattern: charge a barrier
         stages = max(int(math.ceil(math.log2(max(self.nprocs, 2)))), 1)
         self._charge(node, "communication", stages * comm.barrier_per_stage)
+
+    def _shift_exchange(self, node: SPMDNode, dist: ArrayDistribution, axis: int,
+                        axis_map, offset: int, element_size: int, direction: int,
+                        clamp_shift_axis: bool) -> None:
+        """One boundary-shift exchange, noised and committed to the clocks."""
+        pairs, sizes = self._shift_plan(dist, axis, axis_map, offset, element_size,
+                                        direction, clamp_shift_axis)
+        clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
+        with obs.span("network"):
+            done = shift_exchange(self.network, pairs, sizes, clocks,
+                                  software_overhead=self.collective_overhead)
+        done = self._apply_comm_noise(done, clocks)
+        self._set_clocks(node, "communication", done)
+
+    def _collective(self, node: SPMDNode, kind: str, nbytes: int) -> None:
+        """One whole-machine broadcast / reduce / gather of *nbytes*."""
+        clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
+        ranks = list(range(self.nprocs))
+        overhead = self.collective_overhead
+        with obs.span("network"):
+            if kind == "broadcast":
+                done = broadcast(self.network, 0, ranks, nbytes, clocks,
+                                 software_overhead=overhead)
+            elif kind == "reduce":
+                done = allreduce(self.network, ranks, nbytes, clocks,
+                                 combine_time=self.machine.processing.flop_time_sp,
+                                 software_overhead=overhead)
+            else:
+                done = unstructured_gather(self.network, ranks, nbytes, clocks,
+                                           software_overhead=overhead)
+        done = self._apply_comm_noise(done, clocks)
+        self._set_clocks(node, "communication", done)
 
     def _spec_elements(self, spec: CommSpec, dist: ArrayDistribution | None) -> float:
         if dist is None:
@@ -694,13 +683,6 @@ class SPMDExecutor:
     # ------------------------------------------------------------------
     # misc helpers
     # ------------------------------------------------------------------
-
-    def _scalar(self, expr: ast.Expr | None, default: float = 0.0) -> float:
-        if expr is None:
-            return default
-        value = self.exprs.eval(expr)
-        return float(np.asarray(value).reshape(()).item()) if isinstance(value, np.ndarray) \
-            else float(value)
 
     def _precision(self, array: str | None) -> str:
         if not array:

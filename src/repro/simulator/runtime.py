@@ -72,6 +72,8 @@ def simulate(
     options: SimulatorOptions | None = None,
     params: dict[str, float] | None = None,
     keep_state: bool = False,
+    *,
+    data=None,
 ) -> SimulationResult:
     """Execute *compiled* on the simulated *machine* and return measured times.
 
@@ -84,6 +86,13 @@ def simulate(
     contention-free fabric) affordable.  An unknown engine name fails
     eagerly, at ``SimulatorOptions(...)`` construction; the check here is a
     backstop for configs whose ``engine`` was reassigned after construction.
+
+    ``data`` swaps the live data plane for another
+    :mod:`~repro.simulator.dataplane` object — a recording
+    :class:`~repro.simulator.dataplane.LiveDataPlane` or a
+    :class:`~repro.simulator.dataplane.ReplayDataPlane`; that is how
+    :func:`repro.stages.simulate_staged` records and replays.  By default
+    every call runs the program's data plane live.
     """
     options = options or SimulatorOptions()
     if options.engine not in ENGINES:
@@ -95,8 +104,9 @@ def simulate(
     with obs.span("simulate", engine=options.engine,
                   nprocs=compiled.nprocs, machine=machine.name):
         executor = executor_class(compiled, machine, options=options,
-                                  params=params)
+                                  params=params, data=data)
         executor.run()
+        printed, checksum = executor.data.finish()
     elapsed = _time.perf_counter() - started
     obs.counter("repro_simulations_total", engine=options.engine).inc()
 
@@ -110,11 +120,11 @@ def simulate(
         totals=executor.totals,
         line_metrics=executor.line_metrics,
         comm_stats=executor.comm_stats,
-        printed=list(executor.state.printed),
-        array_checksum=executor.state.checksum(),
+        printed=printed,
+        array_checksum=checksum,
         statements_executed=executor.statements_executed,
         wall_clock_seconds=elapsed,
-        state=executor.state if keep_state else None,
+        state=executor.data.state if keep_state else None,
         engine=executor.engine_name,
     )
 

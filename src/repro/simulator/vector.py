@@ -9,7 +9,10 @@ collective schedules — and overrides only the per-rank hot loops:
   rank per loop dimension, each dimension's loop values are mapped to their
   owning processor coordinate once (:meth:`AxisMapping.owners_of`) and
   per-rank counts fall out of a ``bincount`` + gather, so the work is
-  O(values) instead of O(p × values);
+  O(values) instead of O(p × values).  The counts, innermost extents and
+  mask fractions form a machine-free :class:`~repro.simulator.dataplane.
+  LoopNestShape` (``_loop_nest_shape``), priced separately per machine
+  (``_loop_nest_per_rank``) — the split the trace stage records across;
 * **mask fractions** — the forall mask is contracted against per-dimension
   one-hot ownership indicators (integer ``tensordot``), producing the
   mask-true count of every rank's sub-block in one pass;
@@ -51,14 +54,11 @@ Both engines report their phase timings through :mod:`repro.obs` spans —
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .. import obs
-from ..compiler.spmd import CommSpec, LocalLoopNest, ShiftNode, SPMDNode
+from ..compiler.spmd import LocalLoopNest, SPMDNode
 from ..distribution import ArrayDistribution
-from ..frontend import ast_nodes as ast
 from ..interpreter.expression_cost import OpCount
 from .collectives import (
     allreduce_clocks,
@@ -66,6 +66,7 @@ from .collectives import (
     shift_exchange_clocks,
     unstructured_gather_clocks,
 )
+from .dataplane import LoopNestShape
 from .executor import SPMDExecutor
 from .node import IterationProfile
 
@@ -125,9 +126,13 @@ class VectorSPMDExecutor(SPMDExecutor):
     # local loop nests
     # ------------------------------------------------------------------
 
-    def _loop_nest_per_rank(self, node: LocalLoopNest, record, home_dist,
-                            distributed: bool, count: OpCount,
-                            element_size: int, precision: str) -> np.ndarray:
+    def _loop_nest_shape(self, node: LocalLoopNest, record, home_dist,
+                         distributed: bool) -> LoopNestShape:
+        """Machine-free per-rank shape of one executed loop nest.
+
+        Depends only on the forall record and the compiled mapping, so the
+        trace stage records it once and every machine prices the same shape.
+        """
         with obs.span("node_cost"):
             p = self.nprocs
             pcoords = home_dist.axis_pcoords() if home_dist is not None else None
@@ -182,18 +187,30 @@ class VectorSPMDExecutor(SPMDExecutor):
                 # (negative encodes None for the batched cost model)
                 mask_fractions = np.where(iterations > 0, fractions, -1.0)
 
+            return LoopNestShape(
+                local_elements=iterations,
+                innermost_extents=np.maximum(innermost, 1.0),
+                mask_fractions=mask_fractions,
+                stride1=stride1 or not distributed,
+            )
+
+    def _loop_nest_per_rank(self, node: LocalLoopNest, shape: LoopNestShape,
+                            home_dist, distributed: bool, count: OpCount,
+                            element_size: int, precision: str) -> np.ndarray:
+        """Price one loop-nest shape on this machine, noise included."""
+        with obs.span("node_cost"):
             profile = IterationProfile(
                 count=count,
                 precision=precision,
                 element_size=element_size,
-                stride1=stride1 or not distributed,
+                stride1=shape.stride1,
                 arrays_touched=max(len(count.arrays_touched), 1),
             )
             raw = self.cost.loop_nest_times(
                 profile, depth=len(node.loops),
-                local_elements=iterations,
-                innermost_extents=np.maximum(innermost, 1.0),
-                mask_fractions=mask_fractions,
+                local_elements=shape.local_elements,
+                innermost_extents=shape.innermost_extents,
+                mask_fractions=shape.mask_fractions,
             )
         with obs.span("noise"):
             return self.noise.compute_batch(raw)
@@ -330,97 +347,33 @@ class VectorSPMDExecutor(SPMDExecutor):
     # communication phases (array clocks end to end)
     # ------------------------------------------------------------------
 
-    def _exec_shift(self, node: ShiftNode) -> None:
-        """Array-clock CSHIFT: same control flow as the loop engine's, but the
-        exchange prices a structure-of-arrays stage and clocks never leave
-        array form."""
-        if isinstance(node.origin, ast.Assignment):
-            self.data.exec_assignment(node.origin)
-
-        dist = self.compiled.mapping.distribution_of(node.source)
-        proc = self.machine.processing
-        if dist is None:
-            self._charge(node, "computation", proc.call_overhead)
-            return
-
-        offset = abs(int(self._scalar(node.offset_expr, 1)))
-        self._charge(node, "computation", self._shift_copy_per_rank(dist))
-
-        axis = node.axis if node.axis < len(dist.axes) else 0
-        axis_map = dist.axes[axis]
-        if not axis_map.is_distributed or axis_map.nprocs <= 1 or dist.grid is None:
-            return
-
-        direction = 1 if offset >= 0 else -1
+    def _shift_exchange(self, node: SPMDNode, dist: ArrayDistribution, axis: int,
+                        axis_map, offset: int, element_size: int, direction: int,
+                        clamp_shift_axis: bool) -> None:
+        """Array-clock boundary shift: the exchange prices a
+        structure-of-arrays stage and clocks never leave array form."""
         src, dst, nbytes = self._shift_spec_arrays(
-            dist, axis, axis_map, offset, dist.element_size, direction,
-            clamp_shift_axis=False)
+            dist, axis, axis_map, offset, element_size, direction,
+            clamp_shift_axis)
         with obs.span("network"):
             targets, participants = shift_exchange_clocks(
                 self.network, src, dst, nbytes, self.clocks,
                 software_overhead=self.collective_overhead)
         self._finish_comm_phase(node, targets, participants)
 
-    def _exec_comm_spec(self, node: SPMDNode, spec: CommSpec) -> None:
-        """Array-clock communication specs (shift / broadcast / reduce /
-        gather), mirroring the loop engine's dispatch branch for branch."""
-        comm = self.machine.communication
-        proc = self.machine.processing
-        dist = self.compiled.mapping.distribution_of(spec.array) if spec.array else None
+    def _collective(self, node: SPMDNode, kind: str, nbytes: int) -> None:
         overhead = self.collective_overhead
-
-        if spec.kind == "shift" and dist is not None and dist.grid is not None:
-            axis = spec.axis if spec.axis is not None else 0
-            axis_map = dist.axes[axis] if axis < len(dist.axes) else None
-            if axis_map is None or not axis_map.is_distributed or axis_map.nprocs <= 1:
-                # boundary stays on-processor: a local copy only
-                elements = self._boundary_elements(dist, axis, abs(spec.offset) or 1, 0)
-                self._charge(node, "overhead",
-                             elements * (self.machine.memory.hit_time + proc.assignment_overhead))
-                return
-            direction = 1 if spec.offset >= 0 else -1
-            src, dst, nbytes = self._shift_spec_arrays(
-                dist, axis, axis_map, abs(spec.offset) or 1,
-                spec.element_size, direction, clamp_shift_axis=True)
-            with obs.span("network"):
-                targets, participants = shift_exchange_clocks(
-                    self.network, src, dst, nbytes, self.clocks,
-                    software_overhead=overhead)
-            self._finish_comm_phase(node, targets, participants)
-            return
-
-        if spec.kind == "broadcast":
-            nbytes = max(int(self._spec_elements(spec, dist) * spec.element_size),
-                         spec.element_size)
-            with obs.span("network"):
+        with obs.span("network"):
+            if kind == "broadcast":
                 targets = broadcast_clocks(self.network, 0, self.clocks, nbytes,
                                            software_overhead=overhead)
-            self.comm_stats.record(max(self.nprocs - 1, 0), nbytes * max(self.nprocs - 1, 0))
-            self._finish_comm_phase(node, targets)
-            return
-
-        if spec.kind == "reduce":
-            nbytes = spec.element_size
-            with obs.span("network"):
-                targets = allreduce_clocks(self.network, self.clocks, nbytes,
-                                           combine_time=proc.flop_time_sp,
-                                           software_overhead=overhead)
-            self.comm_stats.record(self.nprocs, nbytes * self.nprocs)
-            self._finish_comm_phase(node, targets)
-            return
-
-        if spec.kind in ("gather", "writeback"):
-            elements = self._spec_elements(spec, dist)
-            nbytes = int(elements * spec.element_size)
-            with obs.span("network"):
+            elif kind == "reduce":
+                targets = allreduce_clocks(
+                    self.network, self.clocks, nbytes,
+                    combine_time=self.machine.processing.flop_time_sp,
+                    software_overhead=overhead)
+            else:
                 targets = unstructured_gather_clocks(
                     self.network, self.clocks, nbytes,
                     software_overhead=overhead)
-            self.comm_stats.record(self.nprocs * max(self.nprocs - 1, 1) // 2,
-                                   nbytes * max(self.nprocs - 1, 1))
-            self._finish_comm_phase(node, targets)
-            return
-
-        # unknown pattern: charge a barrier
-        stages = max(int(math.ceil(math.log2(max(self.nprocs, 2)))), 1)
-        self._charge(node, "communication", stages * comm.barrier_per_stage)
+        self._finish_comm_phase(node, targets)

@@ -1,6 +1,6 @@
-"""Three-stage cached predict path: *parse*, *compile* and *price* as keyed stages.
+"""Cached stages: *parse*, *compile*, *trace* and *price* as keyed stages.
 
-``repro.predict`` is really three pipelines glued together:
+``repro.predict`` and measure-mode campaigns are pipelines glued together:
 
 1. **parse** — HPF/Fortran 90D source text → logical lines → AST.
    Depends on the program text and its name only.
@@ -8,7 +8,14 @@
    program (the app model).  Depends on the parse stage's output plus the
    process count, grid layout and parameter overrides — and on *nothing
    about the target machine*.
-3. **price** — walk that app model with one machine's SAG/SAU parameter
+3. **trace** — one live vector-engine run of the compiled program's data
+   plane, recorded as what the timing plane read from it
+   (:class:`~repro.simulator.dataplane.ExecutionTrace`: trip counts,
+   branch outcomes, per-rank loop-nest shapes, final outputs).  Depends on
+   the compile stage's output (and the ``DO WHILE`` limit) only; every
+   later simulation of that program, on any machine, replays it
+   (:func:`simulate_staged`).
+4. **price** — walk that app model with one machine's SAG/SAU parameter
    set and the analytic communication models (the interpretation parse).
    Depends on the compile stage's output plus the machine and the
    interpreter options.
@@ -17,17 +24,18 @@ This module puts each stage behind an **independent, explicitly keyed
 cache**: a size sweep over one program text parses it once and compiles
 it once per (size, nprocs, layout) cell; a cross-machine sweep (or a
 prediction server fielding the same program against many targets) pays
-one compile and N prices; and repeated identical predictions pay nothing
-at all.  Compiles never mutate the AST they are given, so every compiled
-program of one text shares one parsed :class:`~repro.frontend.ast_nodes.Program`.
+one compile and N prices — and, in measure mode, one data-plane run and N
+replays; and repeated identical predictions pay nothing at all.  Compiles
+never mutate the AST they are given, so every compiled program of one
+text shares one parsed :class:`~repro.frontend.ast_nodes.Program`.
 
-All three caches are bounded thread-safe LRUs and are instrumented with
+All four caches are bounded thread-safe LRUs and are instrumented with
 ``repro.obs`` hit/miss counters (``repro_stage_cache_hits_total`` /
 ``repro_stage_cache_misses_total``, labelled ``stage="parse"`` /
-``stage="compile"`` / ``stage="price"``), which is how the serve-layer
-tests assert the acceptance property: a second request for the same
-program on a different machine hits the compile cache but misses the
-price cache.
+``stage="compile"`` / ``stage="trace"`` / ``stage="price"``), which is how
+the serve-layer tests assert the acceptance property: a second request for
+the same program on a different machine hits the compile cache but misses
+the price cache.
 
 Example:
     >>> import repro
@@ -49,6 +57,15 @@ Example:
     >>> c = repro.predict(src, nprocs=4)                      # compile + price
     >>> a.compiled.program is c.compiled.program              # shared AST
     True
+    >>> from repro.simulator import simulate
+    >>> from repro.system import get_machine
+    >>> paragon = get_machine("paragon", 2)
+    >>> _ = stages.simulate_staged(a.compiled, get_machine("ipsc860", 2))  # records
+    >>> staged = stages.simulate_staged(a.compiled, paragon)           # replays
+    >>> staged.per_rank_us == simulate(a.compiled, paragon).per_rank_us
+    True
+    >>> stages.stage_cache_sizes()["trace"]
+    1
 """
 
 from __future__ import annotations
@@ -62,17 +79,25 @@ from typing import Any, Callable, Mapping, Optional
 
 from . import obs
 from .compiler import CompileOptions, compile_program
+from .compiler.optimizations import OptimizationOptions
 from .frontend.parser import parse_source
 from .frontend.source import SourceFile
 from .interpreter import InterpreterOptions, interpret
+from .simulator.dataplane import LiveDataPlane, ReplayDataPlane
+from .simulator.executor import SimulatorOptions
+from .simulator.runtime import simulate
 from .system.machine import Machine
 
-#: Bounded sizes of the three stage caches.  Compiled programs are the heavy
+#: Bounded sizes of the stage caches.  Compiled programs are the heavy
 #: objects (SPMD trees and mappings); parsed programs are one AST per
 #: distinct text; priced estimates are small result records.
 PARSE_CACHE_SIZE = 128
 COMPILE_CACHE_SIZE = 128
 PRICE_CACHE_SIZE = 1024
+#: Execution traces are compact (observations, interned read-only per-rank
+#: arrays) and there is one per compiled program, so the trace cache
+#: matches the compile cache's bound.
+TRACE_CACHE_SIZE = 128
 
 
 class LRUCache:
@@ -166,8 +191,14 @@ def compile_key_of(compiled) -> str:
     threading the original key through.
     """
     opts = compiled.options
-    return compile_stage_key(compiled.source.text, nprocs=opts.nprocs,
-                             grid_shape=opts.grid_shape, params=opts.params)
+    key = compile_stage_key(compiled.source.text, nprocs=opts.nprocs,
+                            grid_shape=opts.grid_shape, params=opts.params)
+    if opts.optimizations != OptimizationOptions():
+        # not a compile-stage input (compile_cached always uses the
+        # defaults), but it shapes the SPMD program the later stages read
+        key = _canonical_hash({"compile_key": key, "optimizations":
+                               _canonical_value(opts.optimizations)})
+    return key
 
 
 def machine_stage_token(machine: Machine) -> str:
@@ -261,19 +292,21 @@ def price_stage_key(compile_key: str, machine: Machine,
 _parse_cache = LRUCache(PARSE_CACHE_SIZE)
 _compile_cache = LRUCache(COMPILE_CACHE_SIZE)
 _price_cache = LRUCache(PRICE_CACHE_SIZE)
+_trace_cache = LRUCache(TRACE_CACHE_SIZE)
 
 
 def clear_stage_caches() -> None:
-    """Drop all three stage caches (tests and long-lived servers under
+    """Drop all four stage caches (tests and long-lived servers under
     memory pressure; the obs counters are left alone)."""
     _parse_cache.clear()
     _compile_cache.clear()
     _price_cache.clear()
+    _trace_cache.clear()
 
 
 def stage_cache_sizes() -> dict[str, int]:
     return {"parse": len(_parse_cache), "compile": len(_compile_cache),
-            "price": len(_price_cache)}
+            "price": len(_price_cache), "trace": len(_trace_cache)}
 
 
 def _note(stage: str, hit: bool) -> None:
@@ -352,10 +385,51 @@ def price_cached(compiled, machine: Machine, *, compile_key: str,
     return result
 
 
+def trace_stage_key(compile_key: str, max_while_iterations: int) -> tuple:
+    """Key of the trace stage: the compile key plus the one simulator option
+    that can change what a live run observes (a ``DO WHILE`` limit)."""
+    return (compile_key, int(max_while_iterations))
+
+
+def simulate_staged(compiled, machine: Machine,
+                    options: Optional[SimulatorOptions] = None,
+                    params: Mapping[str, float] | None = None,
+                    keep_state: bool = False, *,
+                    compile_key: str | None = None):
+    """:func:`~repro.simulator.simulate` through the machine-free trace stage.
+
+    The first vector-engine run of a compiled program executes its data
+    plane live and records what the timing plane read
+    (:class:`~repro.simulator.dataplane.ExecutionTrace`); every later run
+    of that program — on any machine, with any noise seed — replays the
+    trace instead of executing the program again.  The result is bit for
+    bit the live result.  Runs the trace cannot serve (the loop engine,
+    parameter overrides, ``keep_state``) run live and touch nothing here,
+    and a run that raises stores nothing.
+    """
+    options = options or SimulatorOptions()
+    if options.engine != "vector" or params is not None or keep_state:
+        return simulate(compiled, machine, options=options, params=params,
+                        keep_state=keep_state)
+    key = trace_stage_key(compile_key or compile_key_of(compiled),
+                          options.max_while_iterations)
+    trace = _trace_cache.get(key)
+    if trace is not None:
+        _note("trace", hit=True)
+        return simulate(compiled, machine, options=options,
+                        data=ReplayDataPlane(trace))
+    _note("trace", hit=False)
+    recorder = LiveDataPlane(compiled, record=True)
+    result = simulate(compiled, machine, options=options, data=recorder)
+    _trace_cache.put(key, recorder.trace())
+    return result
+
+
 __all__ = [
     "PARSE_CACHE_SIZE",
     "COMPILE_CACHE_SIZE",
     "PRICE_CACHE_SIZE",
+    "TRACE_CACHE_SIZE",
     "LRUCache",
     "compile_stage_key",
     "compile_key_of",
@@ -365,6 +439,8 @@ __all__ = [
     "parse_cached",
     "compile_cached",
     "price_cached",
+    "trace_stage_key",
+    "simulate_staged",
     "clear_stage_caches",
     "stage_cache_sizes",
 ]

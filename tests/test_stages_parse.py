@@ -89,9 +89,11 @@ def test_compile_misses_reuse_one_parse():
     assert flat['repro_stage_cache_misses_total{stage="parse"}'] == 1
     assert flat['repro_stage_cache_hits_total{stage="parse"}'] == 2
     assert flat['repro_stage_cache_misses_total{stage="compile"}'] == 3
-    assert stages.stage_cache_sizes() == {"parse": 1, "compile": 3, "price": 0}
+    assert stages.stage_cache_sizes() == {"parse": 1, "compile": 3, "price": 0,
+                                          "trace": 0}
     stages.clear_stage_caches()
-    assert stages.stage_cache_sizes() == {"parse": 0, "compile": 0, "price": 0}
+    assert stages.stage_cache_sizes() == {"parse": 0, "compile": 0, "price": 0,
+                                          "trace": 0}
 
 
 def test_parse_key_covers_the_name():
