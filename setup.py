@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-The pyproject.toml [project] table is the canonical metadata; this file exists
-so that editable installs work in offline environments whose setuptools lacks
-the PEP 660 wheel hook.
+The repository carries no packaging metadata: the library runs straight from
+a checkout with ``PYTHONPATH=src`` (numpy is the only runtime dependency; the
+test suites also need pytest, pytest-benchmark and hypothesis).  This stub
+only exists so that tools which expect a ``setup.py`` at the root find one.
 """
 
 from setuptools import setup

@@ -132,7 +132,6 @@ from . import stages
 from .functional import FunctionalEvaluator, evaluate_program
 from .simulator import (
     SimulationResult,
-    SimulatorConfig,
     SimulatorOptions,
     simulate,
     simulate_repeated,
@@ -275,10 +274,10 @@ def measure(
             parameters.
         machine: a :class:`Machine` instance or registered machine name
             (see :func:`predict`); ``None`` means the paper's iPSC/860.
-        options: a :class:`SimulatorOptions` / :class:`SimulatorConfig` —
-            noise magnitudes, RNG ``seed``, and the execution-core
-            ``engine`` (``"vector"``, the scaled default, or ``"loop"``,
-            the per-rank oracle; both produce identical times).
+        options: a :class:`SimulatorOptions` — noise magnitudes, RNG
+            ``seed``, and the execution-core ``engine`` (``"vector"``, the
+            scaled default, or ``"loop"``, the per-rank oracle; both produce
+            identical times).
 
     Returns:
         A :class:`SimulationResult` with ``measured_time_us`` (max over the
@@ -293,7 +292,7 @@ def measure(
         KeyError: ``machine`` names no registered machine.
 
     Example:
-        >>> from repro import SimulatorConfig, measure
+        >>> from repro import SimulatorOptions, measure
         >>> src = '''
         ...       program tiny
         ...       integer, parameter :: n = 16
@@ -307,7 +306,7 @@ def measure(
         ... '''
         >>> fast = measure(src, nprocs=2)                  # vector engine
         >>> oracle = measure(src, nprocs=2,
-        ...                  options=SimulatorConfig(engine="loop"))
+        ...                  options=SimulatorOptions(engine="loop"))
         >>> fast.engine, oracle.engine
         ('vector', 'loop')
         >>> fast.per_rank_us == oracle.per_rank_us         # identical times
@@ -394,7 +393,6 @@ __all__ = [
     "FunctionalEvaluator",
     "evaluate_program",
     "SimulationResult",
-    "SimulatorConfig",
     "SimulatorOptions",
     "simulate",
     "simulate_repeated",

@@ -33,7 +33,7 @@ campaigns on a thread pool (interpretation is cheap and releases the GIL
 poorly but briefly) and switches to a :class:`ProcessPoolExecutor` when
 every point requests the execution simulator (``mode`` of ``measure`` /
 ``both``).  Simulation-heavy campaigns also prefer the simulator's
-**vector engine** (``SimulatorConfig(engine="vector")``, the default): each
+**vector engine** (``SimulatorOptions(engine="vector")``, the default): each
 simulated point computes its per-rank state in bulk, which is what makes
 p ≥ 64 sweeps affordable; pass explicit ``simulator_options`` to pin the
 ``loop`` oracle instead.

@@ -8,13 +8,22 @@ validated against.  The network routes over the target machine's pluggable
 :class:`~repro.system.topology.Topology` — iPSC/860 hypercube, Paragon-style
 2-D mesh, or switched cluster.
 
-Two execution cores are provided behind ``SimulatorConfig(engine=...)``:
-the ``"vector"`` engine (default) computes per-rank state in bulk and drains
-each network phase in one batched pass, and the ``"loop"`` engine keeps the
-original per-rank python loops as the correctness oracle.  They produce
-identical times; see ``docs/simulator.md``.
+Two execution cores are provided behind ``SimulatorOptions(engine=...)``,
+each with its own network drain: the ``"vector"`` engine (default) computes
+per-rank state in bulk and drains each network stage as a structure-of-arrays
+batch (:meth:`Network.drain_stage`), and the ``"loop"`` engine keeps the
+original per-rank python loops and the per-event heap
+(:meth:`Network.transfer`) as the correctness oracle.  They produce identical
+times; see ``docs/simulator.md``.
 """
 
+from ..system.topology import (
+    HypercubeTopology,
+    TopologyError,
+    cube_dimension,
+    ecube_route,
+    hamming_distance,
+)
 from .collectives import (
     allgather,
     allgather_clocks,
@@ -27,20 +36,12 @@ from .collectives import (
     unstructured_gather,
     unstructured_gather_clocks,
 )
-from .events import BatchClock, EventQueue, batch_order, drain_batch
+from .events import EventQueue, batch_order
 from .executor import (
     ENGINES,
     CommStatistics,
-    SimulatorConfig,
     SimulatorOptions,
     SPMDExecutor,
-)
-from .hypercube import (
-    HypercubeTopology,
-    TopologyError,
-    cube_dimension,
-    ecube_route,
-    hamming_distance,
 )
 from .network import (
     STAGE_DISJOINT,
@@ -66,16 +67,13 @@ __all__ = [
     "shift_exchange_clocks",
     "unstructured_gather",
     "unstructured_gather_clocks",
-    "BatchClock",
     "EventQueue",
     "batch_order",
-    "drain_batch",
     "STAGE_DISJOINT",
     "STAGE_PAIRED",
     "STAGE_SERIAL",
     "ENGINES",
     "CommStatistics",
-    "SimulatorConfig",
     "SimulatorOptions",
     "SPMDExecutor",
     "VectorSPMDExecutor",

@@ -19,11 +19,6 @@ Two invariants every routine keeps (regression-tested):
   next through a shared mutable;
 * the input ``clocks`` mapping is never mutated.
 
-On a ``batched`` network (the vector engine) the pairwise stages and shift
-exchanges skip :class:`Message` construction entirely and price each stage
-through :meth:`Network.drain_times`, which applies identical timing rules in
-one pass; both paths return identical times.
-
 **Array-clock kernels** (the ``*_clocks`` functions) are the scaled form the
 ``vector`` engine actually calls: per-rank clocks stay an ``np.ndarray``
 indexed by rank end to end — phase entry clocks in, phase completion clocks
@@ -32,7 +27,8 @@ structure-of-arrays batch, so no per-rank dict is ever built between phases.
 Every kernel applies element by element exactly the arithmetic of its
 dict-based twin (same ``max`` placement, same operation order), so the two
 forms are bit-identical; the dict-based routines remain the oracle the
-``loop`` engine runs.
+``loop`` engine runs, draining every stage through the heap
+(:meth:`Network.transfer`).
 """
 
 from __future__ import annotations
@@ -67,22 +63,6 @@ def shift_exchange(
     ranks = sorted({r for pair in pairs for r in pair})
     done = _as_list(clocks, ranks)
     if not pairs:
-        return done
-
-    if network.batched:
-        specs = []
-        for (src, dst) in pairs:
-            nbytes = nbytes_per_pair if isinstance(nbytes_per_pair, int) \
-                else int(nbytes_per_pair.get((src, dst), 0))
-            specs.append((done.get(src, 0.0) + software_overhead, src, dst, nbytes))
-        send_done, recv_done = network.drain_times(specs)
-        for rank in ranks:
-            base = done[rank]
-            completion = send_done.get(rank, base)
-            arrival = recv_done.get(rank, base)
-            if arrival > completion:
-                completion = arrival
-            done[rank] = max(base + software_overhead, completion)
         return done
 
     messages = []
@@ -157,28 +137,8 @@ def _pairwise_stages(
     """
     p = len(ranks)
     schedule = network.topology.exchange_schedule(p)
-    batched = network.batched
     for stage_no, stage in enumerate(schedule):
         nbytes = nbytes_for_stage(stage_no)
-        if batched:
-            # vector-engine fast path: no Message objects, one sorted drain
-            specs = []
-            partner_of = {}
-            for i, j in stage:
-                a, b = ranks[i], ranks[j]
-                partner_of[a] = b
-                partner_of[b] = a
-                specs.append((done[a], a, b, nbytes))
-                specs.append((done[b], b, a, nbytes))
-            if not specs:
-                continue
-            _send_done, recv_done = network.drain_times(specs)
-            new_done = dict(done)
-            for rank, _partner in partner_of.items():
-                arrival = recv_done.get(rank, done[rank])
-                new_done[rank] = post_exchange(done[rank], arrival)
-            done = new_done
-            continue
         messages = []
         partner_of: dict[int, int] = {}
         for i, j in stage:

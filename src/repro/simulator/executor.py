@@ -56,9 +56,10 @@ from .noise import NoiseModel, NoiseOptions
 
 
 #: Execution-core engines: ``"vector"`` computes per-rank state in bulk
-#: (array-based iteration counting, memoised cost-model calls, batched
+#: (array-based iteration counting, memoised cost-model calls, array
 #: network drain); ``"loop"`` is the original per-rank python loop
-#: implementation, kept as the oracle.  Both produce identical results.
+#: implementation with the per-event network heap, kept as the oracle.  Both
+#: produce identical results.
 ENGINES = ("vector", "loop")
 
 
@@ -68,8 +69,9 @@ class SimulatorOptions:
 
     ``engine`` selects the execution core: ``"vector"`` (default) computes
     per-rank iteration counts, compute-time accrual and boundary exchanges in
-    bulk and drains each network phase in one batched pass; ``"loop"`` is the
-    original per-rank python implementation, kept as the correctness oracle.
+    bulk and drains each network stage as a structure-of-arrays batch;
+    ``"loop"`` is the original per-rank python implementation with the
+    per-event network heap, kept as the correctness oracle.
     The two are required (and tested) to agree on every per-rank time to
     within 1e-9 — in practice bit-for-bit.
     """
@@ -90,12 +92,7 @@ class SimulatorOptions:
             known = " | ".join(repr(name) for name in ENGINES)
             raise SimulationError(
                 f"unknown simulator engine {self.engine!r}; known engines: "
-                f"{known} (pass e.g. SimulatorConfig(engine=\"vector\"))")
-
-
-#: The name the ISSUE/docs use for the simulation parameter block; the engine
-#: switch made it a configuration object, so both names are supported.
-SimulatorConfig = SimulatorOptions
+                f"{known} (pass e.g. SimulatorOptions(engine=\"vector\"))")
 
 
 @dataclass
@@ -118,8 +115,8 @@ class SPMDExecutor:
     as the correctness oracle; the scaled ``"vector"`` engine
     (:class:`~repro.simulator.vector.VectorSPMDExecutor`) overrides the
     per-rank hook methods (``_loop_nest_shape``/``_loop_nest_per_rank``,
-    ``_reduction_per_rank``, ``_shift_copy_per_rank``, ``_set_clocks``) and
-    the communication hooks (``_shift_exchange``, ``_collective`` — array
+    ``_reduction_per_rank``, ``_shift_copy_per_rank``) and the
+    communication hooks (``_shift_exchange``, ``_collective`` — array
     clocks end to end) with array-based implementations that must produce
     identical times.  Both engines read the data plane only through
     ``self.data`` (:mod:`repro.simulator.dataplane`).

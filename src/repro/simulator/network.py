@@ -8,22 +8,16 @@ carry one message at a time, so concurrent messages that share a link
 serialise — this is the contention the static interpreter's analytic
 collective models do not capture.
 
-Three drain paths share the same per-message timing rules and produce
-bit-identical results:
+Two drain paths share the same per-message timing rules and produce
+bit-identical results, one per simulator engine:
 
-* the classic per-event **heap** (:mod:`repro.simulator.events.EventQueue`),
-  kept as the oracle for the simulator's ``loop`` engine;
-* a **batched** drain (``batched=True``): because a ``transfer`` call posts
-  every message of a phase up front and no message spawns another event, the
-  heap is pure churn — the batch path sorts the phase once and dispatches it
-  in a single pass (the same ordering contract as
-  :func:`repro.simulator.events.drain_batch`, inlined here for speed), and
-  memoises routes and link ids per (src, dst) pair, which repeat heavily
-  across the stages of a collective;
-* an **array** drain (:meth:`Network.drain_stage`): the phase arrives as a
-  structure-of-arrays batch (``src`` / ``dst`` / ``nbytes`` / ``start`` as
-  numpy arrays, no :class:`Message` objects at all) and is classified once
-  per distinct stage shape by :meth:`Network.stage_route_info`:
+* the classic per-event **heap** (:meth:`Network.transfer` over
+  :class:`repro.simulator.events.EventQueue`), the ``loop`` engine's oracle;
+* an **array** drain (:meth:`Network.drain_stage`), the ``vector`` engine's
+  collective core: the phase arrives as a structure-of-arrays batch
+  (``src`` / ``dst`` / ``nbytes`` / ``start`` as numpy arrays, no
+  :class:`Message` objects at all) and is classified once per distinct stage
+  shape by :meth:`Network.stage_route_info`:
 
   - **link-disjoint** stages (shift exchanges, any stage on a
     :class:`~repro.system.topology.SwitchedTopology` with distinct endpoints,
@@ -34,12 +28,14 @@ bit-identical results:
     the two opposite directions of an exchange pair (recursive doubling on
     the hypercube, two-node rings) — admit a closed form: the later message
     of each pair waits for its partner's link to free;
-  - anything else genuinely collides and falls back to the sorted scalar
-    batched pass above, so contention is never approximated.
+  - anything else genuinely collides and falls back to a sorted scalar pass
+    over the phase in heap dispatch order, with routes and link ids memoised
+    per (src, dst) pair, so contention is never approximated.
 
-  The simulator's ``vector`` engine runs its collectives through this path.
+:meth:`Network.drain_times` exposes that sorted scalar pass for a plain list
+of ``(start_time, src, dst, nbytes)`` specs.
 
-The simulation is fully deterministic on all three paths.
+The simulation is fully deterministic on both paths.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from .events import EventQueue, batch_order
 #: Stage verdicts of :meth:`Network.stage_route_info`.
 STAGE_DISJOINT = "disjoint"   # no two messages share a link; sources distinct
 STAGE_PAIRED = "paired"       # single-link routes; collisions only within a<->b pairs
-STAGE_SERIAL = "serial"       # links genuinely collide: scalar batched drain
+STAGE_SERIAL = "serial"       # links genuinely collide: sorted scalar drain
 
 _NEG_INF = float("-inf")
 
@@ -92,27 +88,20 @@ class TransferResult:
 
 
 class Network:
-    """Simulates batches of messages over one interconnect partition.
-
-    ``batched=True`` switches :meth:`transfer` from the per-event heap to the
-    single-pass sorted drain with route memoisation; results are identical.
-    """
+    """Simulates batches of messages over one interconnect partition."""
 
     def __init__(self, comm: CommunicationComponent, num_nodes: int,
-                 topology: Topology | None = None, batched: bool = False):
+                 topology: Topology | None = None):
         self.comm = comm
         self.topology = topology if topology is not None \
             else make_topology("hypercube", max(num_nodes, 1))
         self.num_nodes = num_nodes
-        self.batched = batched
-        #: (src, dst) -> (route hops, canonical link ids), filled lazily by the
-        #: batched drain; routes are pure functions of the topology, so the
-        #: cache can never go stale for a fixed partition.
-        self._route_cache: dict[tuple[int, int],
-                                tuple[tuple[tuple[int, int], ...],
-                                      tuple[Hashable, ...]]] = {}
-        #: nbytes -> (latency, link occupancy), also batched-drain only; both
-        #: are pure functions of the communication parameter set.
+        #: (src, dst) -> canonical link ids of the route, filled lazily by the
+        #: sorted drain and stage classification; routes are pure functions of
+        #: the topology, so the cache can never go stale for a fixed partition.
+        self._route_cache: dict[tuple[int, int], tuple[Hashable, ...]] = {}
+        #: nbytes -> (latency, link occupancy); both are pure functions of the
+        #: communication parameter set.
         self._timing_cache: dict[int, tuple[float, float]] = {}
         #: (src bytes, dst bytes) -> (hops array, stage verdict, pair partner
         #: permutation) for the array drain; stage shapes repeat across the
@@ -141,18 +130,13 @@ class Network:
     # -- batch simulation with link contention --------------------------------------
 
     def transfer(self, messages: list[Message]) -> TransferResult:
-        """Simulate *messages* with link contention; fills per-message completions."""
-        if self.batched:
-            return self._transfer_batched(messages)
-        return self._transfer_heap(messages)
+        """Simulate *messages* with link contention; fills per-message completions.
 
-    def _transfer_heap(self, messages: list[Message]) -> TransferResult:
-        """Oracle drain: one heap event per message (the ``loop`` engine path).
-
+        The heap drain: one event per message, the ``loop`` engine's oracle.
         Deliberately self-contained — it spells out the timing rules inline
-        rather than sharing :meth:`_message_timing` with the batched/array
-        paths, so the parity tests compare two independently-written
-        implementations rather than one formula with itself.
+        rather than sharing :meth:`_message_timing` with the array drain, so
+        the parity tests compare two independently-written implementations
+        rather than one formula with itself.
         """
         result = TransferResult(messages=messages)
         if not messages:
@@ -199,9 +183,9 @@ class Network:
     def _message_timing(self, nbytes: int) -> tuple[float, float]:
         """Memoised ``(latency, link occupancy)`` of one message size.
 
-        The single timing formula behind the batched and array drains; the
-        heap oracle intentionally keeps its own inline copy (see
-        :meth:`_transfer_heap`).
+        The single timing formula behind the array drain and
+        :meth:`drain_times`; the heap oracle intentionally keeps its own
+        inline copy (see :meth:`transfer`).
         """
         cached = self._timing_cache.get(nbytes)
         if cached is None:
@@ -213,81 +197,51 @@ class Network:
             self._timing_cache[nbytes] = cached
         return cached
 
-    def _route_links(self, src: int, dst: int) -> tuple[tuple[tuple[int, int], ...],
-                                                        tuple[Hashable, ...]]:
-        """Memoised (route, link ids) of the (src, dst) pair."""
+    def _route_links(self, src: int, dst: int) -> tuple[Hashable, ...]:
+        """Memoised canonical link ids of the (src, dst) route."""
         key = (src, dst)
         cached = self._route_cache.get(key)
         if cached is None:
-            route = tuple(self.topology.route(src, dst))
-            links = tuple(self.topology.link_id(a, b) for a, b in route)
-            cached = (route, links)
+            cached = tuple(self.topology.link_id(a, b)
+                           for a, b in self.topology.route(src, dst))
             self._route_cache[key] = cached
         return cached
 
-    def _transfer_batched(self, messages: list[Message]) -> TransferResult:
-        """Batched drain: the whole phase sorted once, routes memoised.
-
-        Shares its timing core with :meth:`drain_times`; the rules are those
-        of :meth:`_transfer_heap` minus the heap churn, so computed times are
-        identical.
-        """
-        result = TransferResult(messages=messages)
-        if not messages:
-            return result
-        self._drain(
-            [(m.start_time, m.src, m.dst, m.nbytes, m) for m in messages],
-            result)
-        return result
-
     def drain_times(self, specs: list[tuple[float, int, int, int]],
                     ) -> tuple[dict[int, float], dict[int, float]]:
-        """Batched completion times of ``(start_time, src, dst, nbytes)`` specs.
+        """Per-node ``(send_complete, recv_complete)`` of ``(start_time, src,
+        dst, nbytes)`` specs.
 
-        The collective fast path: applies exactly the timing rules of
-        :meth:`transfer` — same sort order, same NIC serialisation, same link
-        contention — without materialising :class:`Message` objects, and
-        returns only the per-node ``(send_complete, recv_complete)`` maps the
-        collective algorithms consume.  Only meaningful on a ``batched``
-        network; the ``loop`` engine's collectives go through
-        :meth:`transfer` unconditionally.
+        Applies exactly the timing rules of :meth:`transfer` — same dispatch
+        order, same NIC serialisation, same link contention — without
+        materialising :class:`Message` objects: the specs are sorted into
+        heap dispatch order and run through the scalar pass that
+        :meth:`drain_stage` falls back to for colliding stages.
         """
-        if not specs:
-            return {}, {}
-        result = TransferResult(messages=[])
-        self._drain([(start, src, dst, nbytes, None)
-                     for start, src, dst, nbytes in specs], result)
-        return result.send_complete, result.recv_complete
+        return self._drain(sorted(specs,
+                                  key=lambda spec: (spec[0], spec[1], spec[2])))
 
-    def _drain(self, items: list[tuple[float, int, int, int, Message | None]],
-               result: TransferResult, presorted: bool = False) -> None:
-        """The single batched timing core behind ``_transfer_batched`` and
-        ``drain_times``.
+    def _drain(self, specs) -> tuple[dict[int, float], dict[int, float]]:
+        """The sorted scalar timing core: ``(start_time, src, dst, nbytes)``
+        specs, already in dispatch order.
 
-        ``items`` are ``(start_time, src, dst, nbytes, message-or-None)``;
-        completion times land in *result*, and per-message completions are
-        written back when a :class:`Message` rides along.  The loop applies
-        exactly :meth:`_transfer_heap`'s rules — same ``(start_time, src,
-        dst)`` sort key with input order breaking ties (stable sort, the
-        heap's insertion-order tie-break), same NIC serialisation, same link
-        contention — so all drain paths stay bit-identical.  ``presorted``
-        callers (the array drain's serial fallback) have already applied
-        :func:`repro.simulator.events.batch_order`.
+        Dispatch order is ascending ``(start_time, src, dst)`` with input order
+        breaking ties — the heap's insertion-order tie-break, applied by
+        :meth:`drain_times`' stable sort or by
+        :func:`repro.simulator.events.batch_order`.  The loop applies exactly
+        :meth:`transfer`'s rules (same NIC serialisation, same link
+        contention), so all drain paths stay bit-identical.  Returns the
+        per-node ``(send_complete, recv_complete)`` maps.
         """
-        comm = self.comm
         link_free: dict[Hashable, float] = {}
         nic_free: dict[int, float] = {}
-        per_hop = comm.per_hop
+        per_hop = self.comm.per_hop
         timing = self._timing_cache
         route_cache = self._route_cache
-        max_link_busy = 0.0
-        total_bytes = 0
-        send_complete = result.send_complete
-        recv_complete = result.recv_complete
+        send_complete: dict[int, float] = {}
+        recv_complete: dict[int, float] = {}
 
-        if not presorted:
-            items = sorted(items, key=lambda item: (item[0], item[1], item[2]))
-        for start_time, src, dst, nbytes, msg in items:
+        for start_time, src, dst, nbytes in specs:
             cached = timing.get(nbytes)
             if cached is None:
                 cached = self._message_timing(nbytes)
@@ -300,11 +254,11 @@ class Network:
                 send_start = start_time
             launch = send_start + latency
 
-            routed = route_cache.get((src, dst))
-            if routed is None:
-                routed = self._route_links(src, dst)
-            route, links = routed
+            links = route_cache.get((src, dst))
+            if links is None:
+                links = self._route_links(src, dst)
 
+            # a self-message has no links: a local copy through the NIC
             arrival = launch
             first = True
             for lid in links:
@@ -313,27 +267,16 @@ class Network:
                 busy = link_free.get(lid, 0.0)
                 if busy > ready:
                     ready = busy
-                free_at = ready + occupancy
-                link_free[lid] = free_at
-                if free_at > max_link_busy:
-                    max_link_busy = free_at
+                link_free[lid] = ready + occupancy
                 arrival = ready
-            if not route:  # self-message (local copy through the NIC)
-                arrival = launch
             recv_done = arrival + occupancy
             send_done = launch + occupancy * 0.5  # sender frees once streaming
             nic_free[src] = send_done
-            if msg is not None:
-                msg.send_complete = send_done
-                msg.recv_complete = recv_done
             if send_done > send_complete.get(src, 0.0):
                 send_complete[src] = send_done
             if recv_done > recv_complete.get(dst, 0.0):
                 recv_complete[dst] = recv_done
-            total_bytes += nbytes
-
-        result.total_bytes = total_bytes
-        result.max_link_busy = max_link_busy
+        return send_complete, recv_complete
 
     # -- array drain (structure-of-arrays phases) ------------------------------------
 
@@ -383,7 +326,7 @@ class Network:
         hops = np.empty(n, dtype=np.int64)
         link_lists = []
         for k in range(n):
-            _route, links = self._route_links(srcs[k], dsts[k])
+            links = self._route_links(srcs[k], dsts[k])
             hops[k] = len(links)
             link_lists.append(links)
 
@@ -444,8 +387,8 @@ class Network:
         ``(send_complete, recv_complete)`` arrays of length ``num_nodes``
         (``-inf`` where a node neither sent nor received).  Link-disjoint and
         pair-exchange stages are priced by vectorised expressions; colliding
-        stages fall back to the scalar batched pass, so every path applies
-        exactly :meth:`_transfer_heap`'s timing rules.
+        stages fall back to the sorted scalar pass, so every path applies
+        exactly :meth:`transfer`'s timing rules.
         """
         p = self.num_nodes
         send_arr = np.full(p, _NEG_INF)
@@ -457,16 +400,12 @@ class Network:
         hops, verdict, partners = self.stage_route_info(src, dst)
         if verdict == STAGE_SERIAL:
             order = batch_order(start, src, dst)
-            result = TransferResult(messages=[])
-            starts = start.tolist()
-            srcs = src.tolist()
-            dsts = dst.tolist()
-            sizes = nbytes.tolist()
-            self._drain([(starts[k], srcs[k], dsts[k], sizes[k], None)
-                         for k in order.tolist()], result, presorted=True)
-            for node, t in result.send_complete.items():
+            send_done, recv_done = self._drain(zip(
+                start[order].tolist(), src[order].tolist(),
+                dst[order].tolist(), nbytes[order].tolist()))
+            for node, t in send_done.items():
                 send_arr[node] = t
-            for node, t in result.recv_complete.items():
+            for node, t in recv_done.items():
                 recv_arr[node] = t
             return send_arr, recv_arr
 

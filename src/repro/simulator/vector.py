@@ -32,9 +32,9 @@ collective schedules — and overrides only the per-rank hot loops:
   keyed batch (:meth:`NoiseModel.communication_batch`), and clock
   advancement is a single vectorised maximum — no per-rank dict is built
   anywhere between phase entry and exit;
-* **network draining** — the executor's :class:`~repro.simulator.network.
-  Network` runs in batched mode, and each collective stage reaches it as a
-  structure-of-arrays batch (:meth:`Network.drain_stage`): link-disjoint
+* **network draining** — each collective stage reaches the executor's
+  :class:`~repro.simulator.network.Network` as a structure-of-arrays batch
+  (:meth:`Network.drain_stage`, never the loop engine's heap): link-disjoint
   stages (shift exchanges, crossbar stages, spread fat-tree channels) and
   pair-exchange stages (recursive doubling) are priced by one vectorised
   expression each, and only stages whose links genuinely collide fall back
@@ -72,32 +72,18 @@ from .node import IterationProfile
 
 
 class VectorSPMDExecutor(SPMDExecutor):
-    """Array-based execution core (``SimulatorConfig(engine="vector")``)."""
+    """Array-based execution core (``SimulatorOptions(engine="vector")``)."""
 
     engine_name = "vector"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.network.batched = True
 
     # ------------------------------------------------------------------
     # clock bookkeeping
     # ------------------------------------------------------------------
 
-    def _set_clocks(self, node: SPMDNode, category: str,
-                    new_clocks: dict[int, float]) -> None:
-        delta = np.zeros(self.nprocs, dtype=np.float64)
-        if new_clocks:
-            ranks = np.fromiter(new_clocks.keys(), dtype=np.int64,
-                                count=len(new_clocks))
-            targets = np.fromiter(new_clocks.values(), dtype=np.float64,
-                                  count=len(new_clocks))
-            delta[ranks] = np.maximum(targets - self.clocks[ranks], 0.0)
-        self._charge(node, category, delta)
-
     def _set_clocks_array(self, node: SPMDNode, category: str,
                           targets: np.ndarray) -> None:
-        """Array form of :meth:`_set_clocks`: *targets* covers every rank."""
+        """Array form of the loop engine's ``_set_clocks``: *targets* covers
+        every rank."""
         self._charge(node, category, np.maximum(targets - self.clocks, 0.0))
 
     def _finish_comm_phase(self, node: SPMDNode, targets: np.ndarray,

@@ -1,5 +1,6 @@
-"""Vector-engine tests: loop/vector parity, batched network equivalence,
-collective state hygiene, and the modern-cluster target.
+"""Vector-engine tests: loop/vector parity, array-vs-heap network
+equivalence, one network drain per engine, collective state hygiene, and the
+modern-cluster target.
 
 The ``vector`` engine is only allowed to exist because it is indistinguishable
 from the ``loop`` oracle: every per-rank time within 1e-9 (bit-for-bit in
@@ -21,7 +22,6 @@ from repro.simulator import (
     STAGE_SERIAL,
     Message,
     Network,
-    SimulatorConfig,
     SimulatorOptions,
     allgather,
     allgather_clocks,
@@ -29,14 +29,12 @@ from repro.simulator import (
     allreduce_clocks,
     broadcast,
     broadcast_clocks,
-    drain_batch,
     shift_exchange,
     shift_exchange_clocks,
     simulate,
     unstructured_gather,
     unstructured_gather_clocks,
 )
-from repro.simulator.events import EventQueue
 from repro.system import get_machine, machine_names
 from repro.system.sau import CommunicationComponent
 
@@ -157,10 +155,12 @@ class TestEnginePropertyParity:
 
 
 class TestEngineSwitch:
-    def test_simulator_config_is_the_options_type(self):
-        config = SimulatorConfig(engine="loop")
-        assert isinstance(config, SimulatorOptions)
-        assert config.engine == "loop"
+    def test_simulator_config_alias_is_retired(self):
+        import repro
+        import repro.simulator
+        assert not hasattr(repro, "SimulatorConfig")
+        assert not hasattr(repro.simulator, "SimulatorConfig")
+        assert SimulatorOptions(engine="loop").engine == "loop"
 
     def test_default_engine_is_vector(self):
         assert SimulatorOptions().engine == "vector"
@@ -182,7 +182,7 @@ class TestEngineSwitch:
         # the typo must fail at construction, not deep inside the run, and
         # the message must list every known engine
         with pytest.raises(SimulationError) as err:
-            SimulatorConfig(engine="turbo")
+            SimulatorOptions(engine="turbo")
         message = str(err.value)
         for name in ENGINES:
             assert repr(name) in message
@@ -220,7 +220,7 @@ class TestModernCluster:
 
 
 # ---------------------------------------------------------------------------
-# batched network drain == per-event heap drain
+# sorted scalar drain == per-event heap drain
 # ---------------------------------------------------------------------------
 
 
@@ -245,53 +245,58 @@ def _message_batch(num_nodes: int, seed: int) -> list[Message]:
     return messages
 
 
-class TestBatchedNetwork:
-    @pytest.mark.parametrize("kind,nodes", [("hypercube", 8), ("mesh", 6),
-                                            ("torus", 8), ("fattree", 8),
-                                            ("switch", 8)])
-    def test_transfer_modes_identical(self, kind, nodes):
-        from repro.system.topology import make_topology
-        for seed in (1, 2, 3):
-            heap_net = Network(_comm(), nodes, make_topology(kind, nodes))
-            batch_net = Network(_comm(), nodes, make_topology(kind, nodes),
-                                batched=True)
-            heap_msgs = _message_batch(nodes, seed)
-            batch_msgs = [Message(m.src, m.dst, m.nbytes, m.start_time)
-                          for m in heap_msgs]
-            heap_result = heap_net.transfer(heap_msgs)
-            batch_result = batch_net.transfer(batch_msgs)
-            assert heap_result.send_complete == batch_result.send_complete
-            assert heap_result.recv_complete == batch_result.recv_complete
-            assert heap_result.total_bytes == batch_result.total_bytes
-            assert heap_result.max_link_busy == batch_result.max_link_busy
-            for heap_msg, batch_msg in zip(heap_msgs, batch_msgs):
-                assert heap_msg.send_complete == batch_msg.send_complete
-                assert heap_msg.recv_complete == batch_msg.recv_complete
-
+class TestSortedDrain:
     def test_drain_times_matches_transfer(self):
         from repro.system.topology import make_topology
-        heap_net = Network(_comm(), 8, make_topology("hypercube", 8))
-        batch_net = Network(_comm(), 8, make_topology("hypercube", 8),
-                            batched=True)
+        net = Network(_comm(), 8, make_topology("hypercube", 8))
         messages = _message_batch(8, seed=7)
         specs = [(m.start_time, m.src, m.dst, m.nbytes) for m in messages]
-        result = heap_net.transfer(messages)
-        send_done, recv_done = batch_net.drain_times(specs)
+        result = net.transfer(messages)
+        send_done, recv_done = net.drain_times(specs)
         assert send_done == result.send_complete
         assert recv_done == result.recv_complete
 
-    def test_drain_batch_matches_event_queue(self):
-        order_heap, order_batch = [], []
-        queue = EventQueue()
-        events = [(5.0, "a"), (1.0, "b"), (5.0, "c"), (0.0, "d")]
-        for time, label in events:
-            queue.schedule(time, lambda lab=label: order_heap.append(lab))
-        queue.run()
-        clock = drain_batch([(time, lambda lab=label: order_batch.append(lab))
-                             for time, label in events])
-        assert order_batch == order_heap == ["d", "b", "a", "c"]
-        assert clock.now == 5.0
-        assert clock.processed == 4
+
+# ---------------------------------------------------------------------------
+# one network drain per engine
+# ---------------------------------------------------------------------------
+
+#: engine -> (the Network drain it runs on, the drains it must never reach)
+ENGINE_DRAINS = {
+    "vector": ("drain_stage", ("transfer", "drain_times")),
+    "loop": ("transfer", ("drain_stage", "drain_times")),
+}
+
+
+class TestOnePathPerEngine:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_path_per_engine(self, engine, monkeypatch):
+        """Every suite entry on every machine reaches only its engine's drain:
+        the vector engine never touches the heap, the loop engine never the
+        array drain, and neither the spec-list ``drain_times``."""
+        from repro.suite import all_entries
+
+        own, foreign = ENGINE_DRAINS[engine]
+        for name in foreign:
+            def refuse(*_args, _name=name, **_kwargs):
+                raise AssertionError(f"{engine} engine reached Network.{_name}")
+            monkeypatch.setattr(Network, name, refuse)
+        calls = []
+        drain = getattr(Network, own)
+
+        def counted(*args, **kwargs):
+            calls.append(own)
+            return drain(*args, **kwargs)
+        monkeypatch.setattr(Network, own, counted)
+
+        options = SimulatorOptions(engine=engine)
+        for key, entry in all_entries().items():
+            compiled = entry.compile(entry.sizes[0], nprocs=4)
+            for machine_name in machine_names():
+                result = simulate(compiled, get_machine(machine_name, 4),
+                                  options=options)
+                assert result.measured_time_us > 0, (key, machine_name)
+        assert calls, f"{engine} engine never reached Network.{own}"
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +316,7 @@ def _drain_stage_vs_heap(kind, nodes, specs):
     """Run one stage through drain_stage and the heap; return both + verdict."""
     from repro.system.topology import make_topology
     start, src, dst, nbytes = _arrays(specs)
-    array_net = Network(_comm(), nodes, make_topology(kind, nodes), batched=True)
+    array_net = Network(_comm(), nodes, make_topology(kind, nodes))
     heap_net = Network(_comm(), nodes, make_topology(kind, nodes))
     _hops, verdict, _partners = array_net.stage_route_info(src, dst)
     send_arr, recv_arr = array_net.drain_stage(start, src, dst, nbytes)
@@ -350,11 +355,11 @@ class TestStageClassification:
 
     def test_colliding_stage_takes_the_slow_path(self):
         # mesh row 0->2 and 1->3: both cross link (1,2) — genuine contention,
-        # must serialise through the scalar batched drain
+        # must serialise through the sorted scalar drain
         from repro.system.topology import MeshTopology
         specs = [(0.0, 0, 2, 1024), (0.0, 1, 3, 1024)]
         start, src, dst, nbytes = _arrays(specs)
-        array_net = Network(_comm(), 4, MeshTopology(1, 4), batched=True)
+        array_net = Network(_comm(), 4, MeshTopology(1, 4))
         heap_net = Network(_comm(), 4, MeshTopology(1, 4))
         _hops, verdict, _partners = array_net.stage_route_info(src, dst)
         assert verdict == STAGE_SERIAL
@@ -396,7 +401,7 @@ class TestStageClassification:
 
     def test_verdicts_are_memoised_per_stage_shape(self):
         from repro.system.topology import make_topology
-        net = Network(_comm(), 4, make_topology("hypercube", 4), batched=True)
+        net = Network(_comm(), 4, make_topology("hypercube", 4))
         src = np.array([0, 2], dtype=np.int64)
         dst = np.array([1, 3], dtype=np.int64)
         first = net.stage_route_info(src, dst)
@@ -407,7 +412,7 @@ class TestStageClassification:
         # int32 [1, 0] and int64 [1] share a byte representation; the memo
         # key must not conflate the two stages
         from repro.system.topology import make_topology
-        net = Network(_comm(), 4, make_topology("hypercube", 4), batched=True)
+        net = Network(_comm(), 4, make_topology("hypercube", 4))
         wide = net.stage_route_info(np.array([1, 0], dtype=np.int32),
                                     np.array([0, 1], dtype=np.int32))
         narrow = net.stage_route_info(np.array([1], dtype=np.int64),
@@ -430,8 +435,7 @@ class TestArrayClockKernels:
                                             ("switch", 8), ("hypercube", 5)])
     def test_kernels_match_dict_collectives(self, kind, nodes):
         from repro.system.topology import make_topology
-        network = Network(_comm(), nodes, make_topology(kind, nodes),
-                          batched=True)
+        network = Network(_comm(), nodes, make_topology(kind, nodes))
         ranks = list(range(nodes))
         rng = np.random.default_rng(17)
         clocks_arr = np.round(rng.uniform(0.0, 40.0, size=nodes), 3)
@@ -466,8 +470,7 @@ class TestArrayClockKernels:
                                             ("switch", 8)])
     def test_shift_kernel_matches_dict_shift(self, kind, nodes):
         from repro.system.topology import make_topology
-        network = Network(_comm(), nodes, make_topology(kind, nodes),
-                          batched=True)
+        network = Network(_comm(), nodes, make_topology(kind, nodes))
         ranks = list(range(nodes))
         clocks_arr = np.linspace(0.0, 21.0, nodes)
         clocks = {r: float(clocks_arr[r]) for r in ranks}
@@ -489,8 +492,7 @@ class TestArrayClockKernels:
 
     def test_shift_kernel_flags_non_participants(self):
         from repro.system.topology import make_topology
-        network = Network(_comm(), 8, make_topology("hypercube", 8),
-                          batched=True)
+        network = Network(_comm(), 8, make_topology("hypercube", 8))
         clocks_arr = np.full(8, 3.0)
         src = np.array([0], dtype=np.int64)
         dst = np.array([1], dtype=np.int64)
@@ -503,8 +505,7 @@ class TestArrayClockKernels:
 
     def test_empty_shift_stage_is_identity(self):
         from repro.system.topology import make_topology
-        network = Network(_comm(), 4, make_topology("hypercube", 4),
-                          batched=True)
+        network = Network(_comm(), 4, make_topology("hypercube", 4))
         clocks_arr = np.array([1.0, 2.0, 3.0, 4.0])
         empty = np.array([], dtype=np.int64)
         got, participants = shift_exchange_clocks(
@@ -523,14 +524,12 @@ class TestArrayClockKernels:
 class TestCollectiveStateHygiene:
     """Every collective returns a fresh dict and never mutates its inputs."""
 
-    def _network(self, batched=False):
+    def _network(self):
         from repro.system.topology import make_topology
-        return Network(_comm(), 8, make_topology("hypercube", 8),
-                       batched=batched)
+        return Network(_comm(), 8, make_topology("hypercube", 8))
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["heap", "batched"])
-    def test_fresh_dict_and_unmutated_clocks(self, batched):
-        network = self._network(batched)
+    def test_fresh_dict_and_unmutated_clocks(self):
+        network = self._network()
         ranks = list(range(8))
         clocks = {r: 10.0 * r for r in ranks}
         snapshot = dict(clocks)

@@ -18,7 +18,7 @@ import pytest
 from repro import obs, stages
 from repro.compiler import compile_source
 from repro.interpreter import interpret
-from repro.simulator import SimulatorConfig, simulate
+from repro.simulator import SimulatorOptions, simulate
 from repro.suite.registry import all_entries
 from repro.system import get_machine
 
@@ -50,9 +50,9 @@ def _simulate_fingerprint(result):
 
 def _run_all(compiled, nprocs):
     machine = get_machine("ipsc860", nprocs)
-    loop = simulate(compiled, machine, options=SimulatorConfig(engine="loop"))
+    loop = simulate(compiled, machine, options=SimulatorOptions(engine="loop"))
     vector = simulate(compiled, machine,
-                      options=SimulatorConfig(engine="vector"))
+                      options=SimulatorOptions(engine="vector"))
     return (_interpret_fingerprint(interpret(compiled, machine)),
             _simulate_fingerprint(loop), _simulate_fingerprint(vector))
 

@@ -22,7 +22,7 @@ from repro.compiler import OptimizationOptions, compile_source
 from repro.explore import ScenarioPoint
 from repro.explore.campaign import evaluate_point
 from repro.frontend.errors import SimulationError
-from repro.simulator import SimulatorConfig, simulate
+from repro.simulator import SimulatorOptions, simulate
 from repro.simulator.dataplane import (
     ExecutionTrace,
     LiveDataPlane,
@@ -33,8 +33,8 @@ from repro.suite.registry import all_entries, get_entry
 from repro.system import get_machine, machine_names
 
 NPROCS = (2, 4)
-VECTOR = SimulatorConfig(engine="vector")
-LOOP = SimulatorConfig(engine="loop")
+VECTOR = SimulatorOptions(engine="vector")
+LOOP = SimulatorOptions(engine="loop")
 
 
 @pytest.fixture(autouse=True)
@@ -151,10 +151,10 @@ def test_key_covers_the_while_limit():
     assert stages.stage_cache_sizes()["trace"] == 2
     # the noise seed is not part of the key: the trace is noise-free
     staged = stages.simulate_staged(compiled, machine,
-                                    options=SimulatorConfig(seed=7))
+                                    options=SimulatorOptions(seed=7))
     assert stages.stage_cache_sizes()["trace"] == 2
     assert _fingerprint(staged) == _fingerprint(
-        simulate(compiled, machine, options=SimulatorConfig(seed=7)))
+        simulate(compiled, machine, options=SimulatorOptions(seed=7)))
 
 
 def test_lru_bound_clear_and_sizes(monkeypatch):
