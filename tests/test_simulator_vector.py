@@ -246,6 +246,26 @@ def _message_batch(num_nodes: int, seed: int) -> list[Message]:
 
 
 class TestSortedDrain:
+    @pytest.mark.parametrize("kind,nodes", [("hypercube", 8), ("mesh", 6),
+                                            ("torus", 8), ("fattree", 8),
+                                            ("switch", 8)])
+    def test_transfer_modes_identical(self, kind, nodes):
+        """The heap, the sorted scalar drain and the array drain give the
+        same per-node times on contended random batches on every topology."""
+        from repro.system.topology import make_topology
+        for seed in (1, 2, 3):
+            heap_net = Network(_comm(), nodes, make_topology(kind, nodes))
+            sorted_net = Network(_comm(), nodes, make_topology(kind, nodes))
+            array_net = Network(_comm(), nodes, make_topology(kind, nodes))
+            messages = _message_batch(nodes, seed)
+            specs = [(m.start_time, m.src, m.dst, m.nbytes) for m in messages]
+            result = heap_net.transfer(messages)
+            send_done, recv_done = sorted_net.drain_times(specs)
+            assert send_done == result.send_complete
+            assert recv_done == result.recv_complete
+            send_arr, recv_arr = array_net.drain_stage(*_arrays(specs))
+            _assert_matches_heap(send_arr, recv_arr, result, nodes)
+
     def test_drain_times_matches_transfer(self):
         from repro.system.topology import make_topology
         net = Network(_comm(), 8, make_topology("hypercube", 8))
