@@ -62,4 +62,7 @@ python -m pytest benchmarks/test_bench_serve.py -x -q
 echo "== slow tier: stress tests (8-way writer contention, live-server mix)"
 REPRO_SLOW=1 python -m pytest tests -x -q -m slow
 
+echo "== campaign-shard benchmark: serial vs 4-shard store identity over >=10k points"
+REPRO_SLOW=1 python -m pytest benchmarks/test_bench_campaign_shard.py -x -q
+
 echo "check.sh: all green"

@@ -11,8 +11,8 @@ ground truth:
 * the recorded spans export to structurally valid Chrome-trace JSON (load
   ``chrome://tracing`` / Perfetto) and the metric registry to Prometheus
   text exposition,
-* engine phase shares (node cost / noise / network / other) cover the
-  ``simulate`` spans exactly, and
+* engine phase shares (data plane / node cost / noise / network / other)
+  cover the ``simulate`` spans exactly, and
 * the committed schema example, ``benchmarks/results/RUN_MANIFEST_example.json``,
   still loads under the current schema version.
 

@@ -7,12 +7,12 @@ when a perf PR wants to know where the simulator's wall-clock actually goes
 (historically: the network drain, then per-rank noise draws).
 
 ``--phase-breakdown`` adds a one-table summary of where the wall-clock goes,
-bucketed by simulator subsystem (node cost model, noise draws, network +
-collectives, everything else).  The buckets come from the engines' own
-``repro.obs`` spans — recorded in a separate, *unprofiled* run so cProfile's
-per-call overhead cannot skew the shares — and by construction sum to the
-``simulate`` span's total, an invariant the old pstats-filename bucketing
-could silently break.  This is the view that motivated the counter-keyed
+bucketed by simulator subsystem (data plane, node cost model, noise draws,
+network + collectives, everything else).  The buckets come from the engines'
+own ``repro.obs`` spans — recorded in a separate, *unprofiled* run so
+cProfile's per-call overhead cannot skew the shares — and by construction
+sum to the ``simulate`` span's total, an invariant the old pstats-filename
+bucketing could silently break.  This is the view that motivated the counter-keyed
 noise engine (noise was ~40% of the vector wall at p=1024 under the
 since-removed sequential draws); cProfile's top-N remains the per-function
 drill-down.
@@ -40,7 +40,7 @@ SIZE = 64
 MAXITER = 20.0
 
 #: Engine span names bucketed by ``--phase-breakdown``, in print order.
-PHASE_NAMES = ("node_cost", "noise", "network")
+PHASE_NAMES = ("data_plane", "node_cost", "noise", "network")
 
 
 def phase_breakdown(compiled, machine, options) -> dict[str, float]:
@@ -96,8 +96,9 @@ def main() -> None:
                         choices=("cumulative", "tottime"),
                         help="pstats sort key")
     parser.add_argument("--phase-breakdown", action="store_true",
-                        help="also print node-cost / noise / network shares "
-                             "of the wall-clock, from repro.obs spans")
+                        help="also print data-plane / node-cost / noise / "
+                             "network shares of the wall-clock, from "
+                             "repro.obs spans")
     args = parser.parse_args()
 
     entry = get_entry(APP)

@@ -137,7 +137,6 @@ def advise(
     max_nprocs: int = 64,
     refine: str | None = None,
     seed: int = 0,
-    max_workers: int | None = None,
 ) -> AdvisorReport:
     """Diagnose *target* and recommend directive/configuration changes.
 
@@ -170,7 +169,6 @@ def advise(
             ``"genetic"`` or ``"anneal"`` campaign over their axis values;
             adds its own evaluations on top of ``budget``.
         seed: determinism seed for the refinement strategies.
-        max_workers: parallelism for candidate evaluation.
 
     Returns:
         An :class:`~repro.advisor.report.AdvisorReport`: ``baseline`` result,
@@ -201,8 +199,8 @@ def advise(
     if refine is not None and isinstance(machine, Machine):
         raise ValueError(
             "refine= needs a registry machine *name*: the refinement "
-            "campaign rebuilds machines by name in its workers, which an "
-            "unregistered Machine instance cannot cross")
+            "campaign rebuilds machines by name, which an unregistered "
+            "Machine instance cannot provide")
     key, entry, program = _resolve_target(target)
     if size is None:
         size = entry.sizes[1] if entry is not None and len(entry.sizes) > 1 \
@@ -284,12 +282,12 @@ def advise(
         if store is not None and store_refreshed:
             results, _, fresh = evaluate_points(
                 batch, mode=mode, store=None, program_for=program_for,
-                machine_resolver=resolver, max_workers=max_workers, memo=memo)
+                machine_resolver=resolver, memo=memo)
             persist(results)
             return results, 0, fresh
         return evaluate_points(
             batch, mode=mode, store=store, program_for=program_for,
-            machine_resolver=resolver, max_workers=max_workers, memo=memo)
+            machine_resolver=resolver, memo=memo)
 
     def served_set(batch, mode):
         """The points of *batch* the store would serve rather than evaluate."""
@@ -359,8 +357,7 @@ def advise(
             retry_memo.update({p.point: p for p in probes})
             results, _, retried = evaluate_points(
                 batch, mode=mode, store=None, program_for=program_for,
-                machine_resolver=resolver, max_workers=max_workers,
-                memo=retry_memo)
+                machine_resolver=resolver, memo=retry_memo)
             persist(results)
             hits, fresh = 0, fresh + retried + len(probes)
         return results, hits, fresh
@@ -403,8 +400,7 @@ def advise(
         with obs.span("refine", strategy=refine):
             run = run_campaign(space, name=f"advise-{key}-{refine}",
                                mode="predict", strategy=refine, store=None,
-                               seed=seed, max_workers=max_workers,
-                               memo=result_memo)
+                               seed=seed, memo=result_memo)
         if store is not None:
             persist(run.results)
         store_hits += run.store_hits

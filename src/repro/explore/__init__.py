@@ -39,7 +39,6 @@ from .campaign import (
     evaluate_point,
     evaluate_points,
     resolve_campaign_machine,
-    resolve_executor,
     run_campaign,
 )
 from .checkpoint import (
@@ -102,7 +101,6 @@ __all__ = [
     "evaluate_point",
     "evaluate_points",
     "resolve_campaign_machine",
-    "resolve_executor",
     "run_campaign",
     "CHECKPOINT_SCHEMA_VERSION",
     "CampaignCheckpoint",

@@ -474,7 +474,7 @@ def run_sharded_campaign(
 
     Raises:
         ScenarioError: invalid arguments (unknown mode/strategy/fidelity,
-            non-decomposable strategy, bad shard/chunk counts).
+            non-decomposable strategy, bad shard/chunk/worker counts).
         CheckpointError: an existing checkpoint belongs to a different
             campaign (space fingerprint / shards / chunk size / mode).
         CampaignInterrupted: one or more workers died; re-run to resume.
@@ -499,6 +499,12 @@ def run_sharded_campaign(
             or chunk_size < 1:
         raise ScenarioError(
             f"chunk_size must be a positive int, got {chunk_size!r}")
+    if max_workers is not None and (
+            not isinstance(max_workers, int) or isinstance(max_workers, bool)
+            or max_workers < 1):
+        raise ScenarioError(
+            f"max_workers must be None or a positive int, "
+            f"got {max_workers!r}")
     if sim_top < 1 or eta < 2:
         raise ScenarioError(
             f"sim_top must be >= 1 and eta >= 2, got {sim_top}/{eta}")
@@ -827,7 +833,6 @@ def _drive_workers(tasks: List[_ShardTask], ctx,
         return restarts, quarantined
     limit = max_workers if max_workers is not None \
         else min(shards, max(2, os.cpu_count() or 1))
-    limit = max(1, limit)
     poll = None if heartbeat_timeout_s is None \
         else min(max(heartbeat_timeout_s / 4.0, 0.05), 5.0)
     pending = list(tasks)

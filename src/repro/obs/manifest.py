@@ -1,12 +1,12 @@
 """Per-run manifests: a schema-versioned JSON record next to each store.
 
 A :class:`RunManifest` is the campaign engine's flight recorder: wall time,
-points evaluated, store hits/misses, the executor that actually ran,
-worst/median point latency, and the simulator engine's subsystem shares —
-everything a later session (or the ROADMAP's sharded-campaign monitor)
-needs to judge a run without replaying it.  ``run_campaign`` writes one
-automatically next to the ``ResultStore`` (``<store>.manifest.json``)
-whenever observability is enabled.
+points evaluated, store hits/misses, the executor that ran (``serial`` or
+``sharded``), worst/median point latency, and the simulator engine's
+subsystem shares — everything a later session (or the ROADMAP's
+sharded-campaign monitor) needs to judge a run without replaying it.
+``run_campaign`` writes one automatically next to the ``ResultStore``
+(``<store>.manifest.json``) whenever observability is enabled.
 
 Like the store itself the manifest is schema-versioned: :meth:`load`
 rejects unknown formats and newer schemas eagerly instead of letting a
@@ -134,7 +134,7 @@ def _latency_stats(spans: List[SpanRecord],
                    registry: Optional[MetricRegistry]) -> Dict[str, float]:
     """worst/median/mean point latency — exact from ``point`` spans when the
     run stayed in-process, bucket-approximate from the merged histogram when
-    the points ran in worker processes (whose spans don't cross the pool)."""
+    the points ran in sharded worker processes (whose spans stay behind)."""
     durations = sorted(s.dur_us for s in spans if s.name == "point")
     if durations:
         count = len(durations)

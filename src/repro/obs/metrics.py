@@ -8,9 +8,9 @@ from microsecond predicts to multi-second simulates land in useful bins.
 
 Registries snapshot to plain picklable dicts (:meth:`MetricRegistry.collect`)
 and merge snapshots back (:meth:`MetricRegistry.merge`) — the mechanism the
-campaign layer uses to carry worker-process metrics across a
-``ProcessPoolExecutor`` boundary instead of losing them when the worker
-exits: each task returns ``delta_since(before)`` and the parent merges it.
+sharded campaign engine uses to carry worker-process metrics home instead of
+losing them when the worker exits: each shard checkpoints
+``delta_since(before)`` and the parent merges it.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class MetricRegistry:
         with self._lock:
             self._instruments.clear()
 
-    # -- snapshot / merge (process-pool transport) -------------------------
+    # -- snapshot / merge (worker-process transport) ----------------------
 
     def collect(self) -> Dict[InstrumentKey, Dict[str, Any]]:
         """A plain picklable snapshot of every instrument's state."""

@@ -152,18 +152,18 @@ class Tracer:
 
 def phase_shares(spans: List[SpanRecord],
                  total_name: str = "simulate",
-                 phase_names: Tuple[str, ...] = ("node_cost", "noise",
-                                                 "network"),
+                 phase_names: Tuple[str, ...] = ("data_plane", "node_cost",
+                                                 "noise", "network"),
                  ) -> Dict[str, float]:
     """Subsystem wall-clock shares from a span window.
 
     Sums every ``total_name`` span as the denominator and each name in
     ``phase_names`` as a bucket; whatever the buckets don't cover is
-    ``other`` (data-plane execution, bookkeeping).  By construction the
-    buckets plus ``other`` sum to the total — the invariant the old
-    pstats-filename bucketing could silently break — and this function
-    asserts it.  Returns fractions in ``[0, 1]``; empty when no
-    ``total_name`` span was recorded.
+    ``other`` (engine bookkeeping).  By construction the buckets plus
+    ``other`` sum to the total — the invariant the old pstats-filename
+    bucketing could silently break — and this function asserts it.
+    Returns fractions in ``[0, 1]``; empty when no ``total_name`` span was
+    recorded.
     """
     totals: Dict[str, float] = {}
     for record in spans:

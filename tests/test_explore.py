@@ -325,8 +325,7 @@ class TestCampaignAcceptance:
 
     def test_full_sweep_persists_and_resumes(self, tmp_path):
         store = ResultStore(tmp_path / "campaign.jsonl")
-        run = run_campaign(self.SPACE, store=store, mode="predict",
-                           max_workers=4)
+        run = run_campaign(self.SPACE, store=store, mode="predict")
         total = 2 * 3 * 3 * 3
         assert len(run.results) == total
         assert run.evaluated == total and run.store_hits == 0
@@ -339,15 +338,6 @@ class TestCampaignAcceptance:
         for first, second in zip(run.results, rerun.results):
             assert first.point == second.point
             assert first.estimated_us == second.estimated_us
-
-    def test_parallel_matches_serial(self):
-        space = ScenarioSpace(apps=("lfk3",), sizes=(128, 512),
-                              proc_counts=(2, 4), machines=("ipsc860", "cluster"))
-        parallel = run_campaign(space, max_workers=4)
-        serial = run_campaign(space, executor="serial")
-        for a, b in zip(parallel.results, serial.results):
-            assert a.point == b.point
-            assert a.estimated_us == b.estimated_us
 
     def test_duplicate_points_evaluated_once(self):
         run = run_campaign(SMALL_SPACE)
@@ -551,42 +541,29 @@ class TestNewStrategies:
 
 
 class TestExecutors:
-    def test_auto_resolution(self):
-        import multiprocessing
-
-        from repro.explore import resolve_executor
-        # auto only risks the pool where forked workers inherit runtime
-        # machine registrations (spawn platforms stay on threads)
-        pooled = "process" if multiprocessing.get_start_method() == "fork" \
-            else "thread"
-        assert resolve_executor("auto", "predict", None) == "thread"
-        assert resolve_executor("auto", "measure", None) == pooled
-        assert resolve_executor("auto", "both", None) == pooled
-        assert resolve_executor("auto", "both", lambda p: None) == "thread"
-        assert resolve_executor("serial", "both", None) == "serial"
-
-    def test_process_executor_matches_serial(self):
-        space = ScenarioSpace(apps=("laplace_block_star",), sizes=(16,),
-                              proc_counts=(2, 4), machines=("ipsc860",))
-        process = run_campaign(space, mode="both", executor="process",
-                               max_workers=2)
+    def test_sharded_matches_serial(self):
+        # process parallelism is the sharded engine's; with no store it runs
+        # on an ephemeral one and returns the serial run's results in order
+        from repro.explore import run_sharded_campaign
+        space = ScenarioSpace(apps=("lfk3",), sizes=(128, 512),
+                              proc_counts=(2, 4),
+                              machines=("ipsc860", "cluster"))
+        sharded = run_sharded_campaign(space, shards=2, mode="both")
         serial = run_campaign(space, mode="both", executor="serial")
-        assert len(process.results) == 2
-        for a, b in zip(process.results, serial.results):
+        assert len(sharded.results) == len(serial.results) == 8
+        for a, b in zip(sharded.results, serial.results):
             assert a.point == b.point
             assert a.estimated_us == b.estimated_us
             assert a.measured_us == b.measured_us
 
-    def test_process_executor_rejects_machine_resolver(self):
-        from repro import get_machine
-        from repro.explore import evaluate_points, resolve_campaign_machine
-        _, resolver = resolve_campaign_machine(get_machine("ipsc860", 4))
-        with pytest.raises(ScenarioError):
-            run_campaign(SMALL_SPACE, executor="process",
-                         machine_resolver=resolver)
-        # rejected up front, even for batches too small to reach the pool
-        with pytest.raises(ScenarioError):
-            evaluate_points([], executor="process", machine_resolver=resolver)
+    @pytest.mark.parametrize("executor", ["auto", "thread", "process"])
+    def test_removed_executors_rejected(self, executor):
+        from repro.explore import EXECUTORS, evaluate_points
+        assert EXECUTORS == ("serial",)
+        with pytest.raises(ScenarioError, match="run_sharded_campaign"):
+            run_campaign(SMALL_SPACE, executor=executor)
+        with pytest.raises(ScenarioError, match="run_sharded_campaign"):
+            evaluate_points([], executor=executor)
 
 
 class TestEvaluatePoints:

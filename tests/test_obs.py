@@ -120,7 +120,9 @@ class TestSpans:
         obs.enable()
         simulate(laplace_compiled, machine4)
         shares = obs.phase_shares(obs.get_tracer().spans())
-        assert set(shares) == {"node_cost", "noise", "network", "other"}
+        assert set(shares) == {"data_plane", "node_cost", "noise",
+                               "network", "other"}
+        assert shares["data_plane"] > 0.0       # the live data plane ran
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-6)
         assert all(0.0 <= share <= 1.0 for share in shares.values())
 
@@ -355,30 +357,3 @@ class TestCampaignManifest:
         truncated.write_text("{not json")
         with pytest.raises(obs.ManifestError, match="invalid JSON"):
             obs.RunManifest.load(str(truncated))
-
-
-class TestProcessPoolMetricTransport:
-    def test_worker_metrics_merge_into_the_parent(self):
-        obs.enable()
-        run = run_campaign(SMALL_SPACE, mode="measure", executor="process",
-                           max_workers=2)
-        assert len(run.results) == 2
-        flat = obs.get_registry().flatten()
-        # the simulations ran in worker processes; without the delta
-        # transport these counters would vanish with the pool
-        assert flat['repro_simulations_total{engine="vector"}'] == 2.0
-        assert flat['repro_campaign_points_evaluated_total{mode="measure"}'] \
-            == 2.0
-        assert flat['repro_point_latency_us_count{mode="measure"}'] == 2
-        assert flat[
-            'repro_campaign_executor_batches_total{executor="process"}'] == 1.0
-
-    def test_manifest_latency_falls_back_to_histogram(self):
-        obs.enable()
-        run = run_campaign(SMALL_SPACE, mode="measure", executor="process",
-                           max_workers=2)
-        latency = run.manifest.point_latency_us
-        # point spans stayed in the workers; the merged histogram answers
-        assert latency["source"] == "histogram"
-        assert latency["count"] == 2
-        assert latency["worst"] >= latency["median"] > 0.0

@@ -254,6 +254,16 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="chunk_size"):
             run_sharded_campaign(space, chunk_size=0, store=store)
 
+    @pytest.mark.parametrize("max_workers", ["2", 0, -1, 2.5, True])
+    def test_rejects_bad_max_workers_before_writing(self, tmp_path,
+                                                    max_workers):
+        store = str(tmp_path / "c.jsonl")
+        with pytest.raises(ScenarioError, match="max_workers"):
+            run_sharded_campaign(small_space(), shards=2, store=store,
+                                 max_workers=max_workers)
+        assert not os.path.exists(checkpoint_path_for(store))
+        assert not os.path.exists(store)
+
     def test_interrupted_resume_refuses_a_different_geometry(self, tmp_path):
         store = str(tmp_path / "s.jsonl")
         space = small_space()
@@ -488,13 +498,28 @@ class TestShardedObs:
     def test_worker_metric_deltas_merge_into_parent(self, tmp_path):
         obs.enable()
         space = small_space()
-        run = run_sharded_campaign(space, shards=2,
+        run = run_sharded_campaign(space, shards=2, mode="measure",
                                    store=str(tmp_path / "c.jsonl"))
+        points = len(space.expand())
+        assert len(run.results) == points
         flat = obs.get_registry().flatten()
-        evaluated = sum(
-            value for name, value in flat.items()
-            if name.startswith("repro_campaign_points_evaluated_total"))
-        assert evaluated >= len(run.results)
+        # the simulations ran in worker processes; without the checkpointed
+        # delta transport these counters would vanish with the workers
+        assert flat['repro_simulations_total{engine="vector"}'] == points
+        assert flat['repro_point_latency_us_count{mode="measure"}'] == points
+        assert flat['repro_campaign_points_evaluated_total{mode="measure"}'] \
+            == points
+
+    def test_manifest_latency_falls_back_to_histogram(self, tmp_path):
+        obs.enable()
+        space = small_space()
+        run = run_sharded_campaign(space, shards=2, mode="measure",
+                                   store=str(tmp_path / "c.jsonl"))
+        latency = run.manifest.point_latency_us
+        # point spans stayed in the workers; the merged histogram answers
+        assert latency["source"] == "histogram"
+        assert latency["count"] == len(space.expand())
+        assert latency["worst"] >= latency["median"] > 0.0
 
 
 # ---------------------------------------------------------------------------
